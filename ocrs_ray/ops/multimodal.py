@@ -14,8 +14,8 @@ Codec support in this container:
 - "webp" decodes for real via the pure-numpy codecs — lossless VP8L
   and lossy VP8 keyframes (`ocrs_ray.webp` / `ocrs_ray.vp8`, bit-exact
   vs libwebp), including animated ANIM/ANMF compositing;
-- audio has no corpus payloads or codec here: `audio_features` raises
-  NotImplementedError; `video_frame_sample` decodes animated WebP for
+- audio is WAV, decoded by the pure-numpy codec (`ocrs_ray.wav`) for
+  `audio_features`; `video_frame_sample` decodes animated WebP for
   real and documents a deterministic fake frame stream for raw8 so the
   distributed shape (actor pool, per-row fan-out to frame rows) is
   real and tested for container formats this sandbox lacks.

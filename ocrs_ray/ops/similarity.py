@@ -1314,12 +1314,14 @@ class HashingEmbedder:
         return (v / n if n > 0 else v).astype("float32")
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].to_numpy(),
-                "embedding": [self.embed_one(t) for t in batch["text"]],
-            }
-        )
+        if batch.empty:
+            # Typed empty output: a zero-row object-dtype column breaks
+            # Ray's block size estimator. list<float32> is the type
+            # non-empty batches convert to.
+            embedding = pd.Series([], dtype=pd.ArrowDtype(pa.list_(pa.float32())))
+        else:
+            embedding = [self.embed_one(t) for t in batch["text"]]
+        return pd.DataFrame({"doc_id": batch["doc_id"].to_numpy(), "embedding": embedding})
 
 
 def docs_embed_hashing(sf_dir: str, dim: int = 64) -> rd.Dataset:

@@ -1,25 +1,37 @@
 """The flagship Ray Data pipeline: interleaved spans -> OCR -> reassembly.
 
-Target lifecycle (SURVEY.md §3.4):
+Lifecycle of the default (broadcast-store) path, SURVEY.md §3.4:
 
-    read spans table
-      -> map_batches(explode_spans)            # flatten to one row/span
-      -> map_batches(OcrSpanProcessor, ...)    # actor pool: decode +
-             detect + layout + recognize media spans; text passthrough
-      -> repartition(keys=["doc_id"])          # the one shuffle
-      -> map_batches(reassemble_block)         # vectorized re-stitching
+    read spans table                           # one row per document
+      -> map_batches(OcrSpanProcessor, ...)    # actor pool over whole
+             documents; one __call__ explodes the batch, decodes +
+             detects + lays out + recognizes its media spans, passes
+             text spans through and re-stitches with reassemble_block
       -> write_parquet / return
 
+A batch holds whole documents, so the re-stitch needs no exchange. The
+keyed `doc_id` exchange stays only where the OCR stage's input is span
+rows, which split a document across batches: `build_ocr_pipeline_joined`
+(media resolved by a hash join on media_ref) and `balance_partitions > 0`
+(spans LPT-binned by pixel volume). There the lifecycle is
+
+    read spans table
+      -> map_batches(explode_spans)            # one row per span, one
+             marker row per document with no spans
+      -> ... -> OCR actor pool over span rows
+      -> repartition(keys=["doc_id"])          # re-stitch exchange
+      -> map_batches(reassemble_block)
+
 Every output row satisfies span-sequence equality (kind, text,
-media_ref, order) against the per-image engine's golden outputs.
+media_ref, order) against the per-image engine's golden outputs, and a
+document whose `spans` list is empty or null comes out unchanged.
 
 Scale notes:
 - media payloads are resolved from a broadcast store (`ray.put` once,
   `ray.get` in each actor's __init__) when the media table is small; a
-  bucketed hash join path covers large media tables (see
-  `ocrs_ray.media`).
-- the reassembly shuffle is hash-partitioned by doc_id; within-block
-  reassembly is fully vectorized (no per-doc Python calls).
+  hash join on media_ref covers large media tables
+  (`build_ocr_pipeline_joined`).
+- reassembly is fully vectorized (no per-doc Python calls).
 - ordering never relies on block arrival order: every span carries
   (doc_id, offset), mirroring the reference's re-sort by line index
   (/root/reference/ocrs/src/recognition.rs:530-535).
@@ -57,18 +69,34 @@ __all__ = [
 ]
 
 
+#: Default OCR batch on the default path, in documents. Images are
+#: decoded one at a time, so the batch mostly sets the actor-pool TASK
+#: granularity: batches per stage must comfortably exceed pool size or
+#: stragglers bound the stage. 16 documents (~72 spans at the
+#: benchmark's 4.5 spans per document) keeps the granularity of the
+#: measured span-row setting below. perfbench `ocr_unique` (160-doc
+#: jobs, 2 actors, 6 logical CPUs on a 1-CPU host), seeds 21-23 each,
+#: at 16 / 32 / 64 documents gave median cpu_s_per_op 5.85 / 5.55 /
+#: 5.69 s (inside run-to-run noise), op_s.p50 2.83 / 3.11 / 3.11 s and
+#: peak RSS 2222 / 2124 / 2010 MB. Large pools are unmeasured at this
+#: granularity.
+DOCS_PER_BATCH = 16
+#: Default OCR batch on the joined and balanced paths, in span rows.
+#: Measured at 8k docs / 24 actors: 256 -> 22 tasks, 8.8-9.2 s; 64 ->
+#: 64 tasks, 6.5-7.7 s in alternating same-session runs; 16 is past
+#: the knee (per-task overhead wins).
+SPAN_ROWS_PER_BATCH = 64
+
+
 @dataclass
 class OcrPipelineConfig:
     """Tuning knobs for the OCR pipeline stages."""
 
-    #: rows per batch into the OCR actor pool. Media rows carry decoded
-    #: images transiently, so this bounds peak memory per actor. It is
-    #: also the actor-pool TASK granularity: batches per stage must
-    #: comfortably exceed pool size or stragglers bound the stage
-    #: (measured at 8k docs / 24 actors: 256 -> 22 tasks, 8.8-9.2 s;
-    #: 64 -> 64 tasks, 6.5-7.7 s in alternating same-session runs;
-    #: 16 is past the knee - per-task overhead wins).
-    ocr_batch_size: int = 64
+    #: rows per batch into the OCR actor pool, counted in the rows of
+    #: the stage's input: DOCUMENTS on the default path, span rows on
+    #: the joined and balanced paths. None picks the measured default
+    #: of each: DOCS_PER_BATCH or SPAN_ROWS_PER_BATCH.
+    ocr_batch_size: int | None = None
     #: OCR actor pool size (fixed int or (min, max) tuple).
     ocr_concurrency: Any = 4
     #: CPUs reserved per OCR actor.
@@ -79,8 +107,10 @@ class OcrPipelineConfig:
     #: the SAME pipeline onto GPU actors (fractional values pack
     #: multiple actors per device).
     ocr_num_gpus: float = 0.0
-    #: number of hash partitions for the reassembly shuffle. Scale to
-    #: ~2-4x total cores; at cluster scale, to total cores across nodes.
+    #: number of hash partitions for the `doc_id` re-stitch exchange of
+    #: the joined and balanced paths; the default path has no exchange.
+    #: Scale to ~2-4x total cores; at cluster scale, to total cores
+    #: across nodes.
     reassemble_partitions: int = 16
     #: memoize per-media_ref OCR results inside each actor (exact dedup
     #: of repeated media fetches; templates repeat in the corpus).
@@ -181,15 +211,22 @@ def _first_file(path: str) -> str:
     return path
 
 
-def explode_spans(batch: pa.Table) -> pa.Table:
-    """Flatten (doc_id, spans) rows to one row per span (vectorized)."""
+def explode_spans(batch: pa.Table, keep_spanless: bool = False) -> pa.Table:
+    """Flatten (doc_id, spans) rows to one row per span (vectorized).
+
+    A document whose `spans` list is empty or null has no span to emit.
+    With `keep_spanless` it emits one marker row instead (null offset
+    and kind; text "" for an empty list, null for a null list), so the
+    document travels with the span rows and `reassemble_block` restores
+    it unchanged.
+    """
     t = batch.combine_chunks()
     col = t.column("spans")
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     parent = pc.list_parent_indices(col)
     flat = pc.list_flatten(col)
-    return pa.table(
+    out = pa.table(
         {
             "doc_id": pc.take(t.column("doc_id"), parent),
             "offset": flat.field("offset"),
@@ -197,6 +234,28 @@ def explode_spans(batch: pa.Table) -> pa.Table:
             "text": flat.field("text"),
             "media_ref": flat.field("media_ref"),
         }
+    )
+    if not keep_spanless:
+        return out
+    spanless = pc.equal(pc.fill_null(pc.list_value_length(col), 0), 0)
+    if not pc.any(spanless).as_py():
+        return out
+    marks = t.filter(spanless)
+    n = marks.num_rows
+    return pa.concat_tables(
+        [
+            out,
+            pa.table(
+                {
+                    "doc_id": marks.column("doc_id"),
+                    "offset": pa.nulls(n, pa.int32()),
+                    "kind": pa.nulls(n, pa.string()),
+                    "text": pc.if_else(pc.is_null(marks.column("spans")), None, ""),
+                    "media_ref": pa.nulls(n, pa.string()),
+                },
+                schema=out.schema,
+            ),
+        ]
     )
 
 
@@ -250,18 +309,13 @@ def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
     raise ValueError(f"unknown media format: {fmt}")
 
 
-class OcrSpanProcessor:
-    """Actor-pool stage: OCR media spans, pass text spans through.
-
-    State (media store + both models) is built once per actor in
-    `__init__`; each `__call__` handles one Arrow batch of flattened
-    span rows. Mirrors the stateful-stage mapping of SURVEY.md §2.3
-    (A1/A2): model weights load once, work is per-batch.
-    """
+class _MediaOcr:
+    """Engine, memo cache, poison-row quarantine and lineage counters
+    shared by the OCR actors: one decode -> OCR -> quarantine path,
+    whether the payload comes from a broadcast store or a join."""
 
     def __init__(
         self,
-        media_store: Any,
         engine_factory: Callable = make_engine,
         cache_media: bool = True,
         metrics_name: str | None = None,
@@ -270,19 +324,13 @@ class OcrSpanProcessor:
         if on_error not in ("raise", "quarantine"):
             raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
         self.on_error = on_error
-        self.n_poison = 0
-        if isinstance(media_store, ray.ObjectRef):
-            self.media = ray.get(media_store)
-        elif isinstance(media_store, str):
-            self.media = load_media_store(media_store)
-        else:
-            self.media = media_store
         self.engine = engine_factory()
         self.cache: dict[str, str] | None = {} if cache_media else None
         # lineage counters, flushed per batch (fire-and-forget) to the
         # named metrics actor when one is configured.
         self.n_media = 0
         self.n_pixels = 0
+        self.n_poison = 0
         self._metrics = None
         if metrics_name is not None:
             try:
@@ -290,11 +338,10 @@ class OcrSpanProcessor:
             except ValueError:
                 pass
 
-    def _ocr_one(self, ref: str) -> str:
+    def _ocr_one(self, ref: str, payload: tuple | None) -> str:
         self.n_media += 1  # spans processed (cache hits included)
         if self.cache is not None and ref in self.cache:
             return self.cache[ref]
-        payload = self.media.get(ref)
         if payload is None:
             raise KeyError(f"unresolved media_ref: {ref}")
         img = decode_media(payload)
@@ -305,11 +352,11 @@ class OcrSpanProcessor:
             self.cache[ref] = text
         return text
 
-    def _ocr_or_quarantine(self, ref: str, doc_id: str) -> str:
+    def _ocr_or_quarantine(self, ref: str, doc_id: str, payload: tuple | None) -> str:
         if self.on_error == "raise":
-            return self._ocr_one(ref)
+            return self._ocr_one(ref, payload)
         try:
-            return self._ocr_one(ref)
+            return self._ocr_one(ref, payload)
         except Exception as exc:  # poison row: empty text, keep going
             self.n_poison += 1
             import logging
@@ -332,25 +379,67 @@ class OcrSpanProcessor:
             self.n_pixels = 0
             self.n_poison = 0
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def ocr_texts(self, refs: list, docs: list, payloads) -> list[str]:
+        """OCR text of each media span (quarantined spans read ""),
+        then one metrics flush for the batch."""
+        texts = [
+            self._ocr_or_quarantine(ref, doc, payload)
+            for ref, doc, payload in zip(refs, docs, payloads)
+        ]
+        self._flush_metrics()
+        return texts
+
+
+class OcrSpanProcessor(_MediaOcr):
+    """Actor-pool stage: OCR media spans, pass text spans through.
+
+    State (media store + both models) is built once per actor in
+    `__init__`; work is per batch. Mirrors the stateful-stage mapping
+    of SURVEY.md §2.3 (A1/A2). A batch is either
+    - spans-table rows (doc_id, spans), each a whole document: the
+      batch is exploded, OCR'd and re-stitched in this one call, so
+      the output is the finished documents and no exchange is needed;
+    - flattened span rows (`explode_spans` output): the OCR'd span
+      rows come back for a downstream `doc_id` exchange. Marker rows
+      of span-less documents pass through like text spans.
+    """
+
+    def __init__(
+        self,
+        media_store: Any,
+        engine_factory: Callable = make_engine,
+        cache_media: bool = True,
+        metrics_name: str | None = None,
+        on_error: str = "raise",
+    ):
+        super().__init__(engine_factory, cache_media, metrics_name, on_error)
+        if isinstance(media_store, ray.ObjectRef):
+            self.media = ray.get(media_store)
+        elif isinstance(media_store, str):
+            self.media = load_media_store(media_store)
+        else:
+            self.media = media_store
+
+    def _ocr_rows(self, batch: pa.Table) -> pa.Table:
         kind = batch.column("kind")
-        media_mask = pc.equal(kind, "media")
+        media_mask = pc.fill_null(pc.equal(kind, "media"), False)
         if pc.sum(media_mask).as_py() in (0, None):
             return batch
         idx = np.flatnonzero(media_mask.combine_chunks().to_numpy(zero_copy_only=False))
         refs = batch.column("media_ref").take(pa.array(idx)).to_pylist()
         docs = batch.column("doc_id").take(pa.array(idx)).to_pylist()
-        ocr_texts = [
-            self._ocr_or_quarantine(ref, doc) for ref, doc in zip(refs, docs)
-        ]
-        self._flush_metrics()
+        ocr_texts = self.ocr_texts(refs, docs, (self.media.get(ref) for ref in refs))
         text = batch.column("text").to_pylist()
         for i, t in zip(idx, ocr_texts):
             text[i] = t
-        out = batch.set_column(
+        return batch.set_column(
             batch.schema.get_field_index("text"), "text", pa.array(text, type=pa.string())
         )
-        return out
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if "spans" not in batch.column_names:
+            return self._ocr_rows(batch)
+        return reassemble_block(self._ocr_rows(explode_spans(batch, keep_spanless=True)))
 
 
 class OcrLayoutProcessor:
@@ -407,54 +496,25 @@ class OcrLayoutProcessor:
         )
 
 
-class OcrInlineProcessor:
+class OcrInlineProcessor(_MediaOcr):
     """OCR media-span rows whose payload arrived inline via a shuffle
     join (columns image/height/width/channels/format joined onto the
     span rows). The large-media-table counterpart of OcrSpanProcessor:
-    no broadcast store, state is just the engine."""
-
-    def __init__(
-        self,
-        engine_factory: Callable = make_engine,
-        cache_media: bool = True,
-        on_error: str = "raise",
-    ):
-        if on_error not in ("raise", "quarantine"):
-            raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
-        self.engine = engine_factory()
-        self.cache: dict[str, str] | None = {} if cache_media else None
-        self.on_error = on_error
-
-    def _ocr_payload(self, ref: str, payload: tuple) -> str:
-        if self.cache is not None and ref in self.cache:
-            return self.cache[ref]
-        try:
-            if payload[0] is None:
-                # Left-outer join miss: the media table has no row for
-                # this ref. Same semantics as the broadcast store miss.
-                raise KeyError(f"unresolved media_ref: {ref}")
-            img = decode_media(payload)
-            inp = self.engine.prepare_input(img, order="hwc")
-            text = self.engine.get_text(inp)
-        except Exception:
-            if self.on_error == "raise":
-                raise
-            text = ""
-        if self.cache is not None:
-            self.cache[ref] = text
-        return text
+    no broadcast store; decode, quarantine and metrics are shared."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        blobs = batch.column("image").to_pylist()
-        hs = batch.column("height").to_pylist()
-        ws = batch.column("width").to_pylist()
-        cs = batch.column("channels").to_pylist()
-        fmts = batch.column("format").to_pylist()
-        texts = [
-            self._ocr_payload(r, (b, h, w, c, f))
-            for r, b, h, w, c, f in zip(refs, blobs, hs, ws, cs, fmts)
+        cols = [
+            batch.column(c).to_pylist()
+            for c in ("image", "height", "width", "channels", "format")
         ]
+        # A null image is a left-outer join miss: the media table has
+        # no row for this ref, the same as a broadcast-store miss.
+        payloads = (None if p[0] is None else p for p in zip(*cols))
+        texts = self.ocr_texts(
+            batch.column("media_ref").to_pylist(),
+            batch.column("doc_id").to_pylist(),
+            payloads,
+        )
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
@@ -464,6 +524,38 @@ class OcrInlineProcessor:
                 "media_ref": batch.column("media_ref"),
             }
         )
+
+
+def _ocr_stage(cfg: OcrPipelineConfig, default_batch_size: int, **ctor_kwargs) -> dict:
+    """map_batches arguments of the OCR actor-pool stage;
+    `default_batch_size` applies when `cfg.ocr_batch_size` is None."""
+    return {
+        "fn_constructor_kwargs": {
+            "engine_factory": cfg.engine_factory,
+            "cache_media": cfg.cache_media,
+            "metrics_name": cfg.metrics_name,
+            "on_error": cfg.on_error,
+            **ctor_kwargs,
+        },
+        "batch_format": "pyarrow",
+        "batch_size": cfg.ocr_batch_size or default_batch_size,
+        "concurrency": cfg.ocr_concurrency,
+        "num_cpus": cfg.ocr_num_cpus,
+        **({"num_gpus": cfg.ocr_num_gpus} if cfg.ocr_num_gpus > 0 else {}),
+    }
+
+
+def _restitch_by_doc(flat: rd.Dataset, cfg: OcrPipelineConfig) -> rd.Dataset:
+    """Re-stitch OCR'd span rows whose documents are spread across
+    batches: keyed `doc_id` exchange, then reassemble_block per
+    partition (span-less documents ride along as marker rows)."""
+    enable_hash_shuffle(flat)
+    docs = flat.repartition(cfg.reassemble_partitions, keys=["doc_id"]).map_batches(
+        reassemble_block, batch_format="pyarrow", batch_size=None
+    )
+    # The plan runs under the final dataset's context: patch it too.
+    enable_hash_shuffle(docs)
+    return docs
 
 
 def build_ocr_pipeline_joined(
@@ -478,15 +570,20 @@ def build_ocr_pipeline_joined(
     large). Text spans bypass the join entirely; only media span keys
     and payloads shuffle. The spans input is read twice (text branch +
     media branch) — cheaper than shipping payloads to every task when
-    the media table dominates.
+    the media table dominates. The join splits documents across
+    batches, so this path keeps the `doc_id` re-stitch exchange.
     """
     cfg = config or OcrPipelineConfig()
-    flat = spans_ds.map_batches(explode_spans, batch_format="pyarrow")
+    flat = spans_ds.map_batches(
+        explode_spans, fn_kwargs={"keep_spanless": True}, batch_format="pyarrow"
+    )
     enable_hash_shuffle(flat)
     enable_hash_shuffle(media_ds)
 
+    # Text spans and span-less document markers (null kind) bypass OCR.
     text_rows = flat.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "text")), batch_format="pyarrow"
+        lambda t: t.filter(pc.fill_null(pc.not_equal(t["kind"], "media"), True)),
+        batch_format="pyarrow",
     )
     media_rows = flat.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], "media")), batch_format="pyarrow"
@@ -501,24 +598,8 @@ def build_ocr_pipeline_joined(
         num_partitions=join_partitions,
         on=("media_ref",),
     )
-    ocr = joined.map_batches(
-        OcrInlineProcessor,
-        fn_constructor_kwargs={
-            "engine_factory": cfg.engine_factory,
-            "cache_media": cfg.cache_media,
-            "on_error": cfg.on_error,
-        },
-        batch_format="pyarrow",
-        batch_size=cfg.ocr_batch_size,
-        concurrency=cfg.ocr_concurrency,
-        num_cpus=cfg.ocr_num_cpus,
-        **({"num_gpus": cfg.ocr_num_gpus} if cfg.ocr_num_gpus > 0 else {}),
-    )
-    merged = text_rows.union(ocr)
-    partitioned = merged.repartition(cfg.reassemble_partitions, keys=["doc_id"])
-    return partitioned.map_batches(
-        reassemble_block, batch_format="pyarrow", batch_size=None
-    )
+    ocr = joined.map_batches(OcrInlineProcessor, **_ocr_stage(cfg, SPAN_ROWS_PER_BATCH))
+    return _restitch_by_doc(text_rows.union(ocr), cfg)
 
 
 class PixelWeigher:
@@ -584,13 +665,27 @@ def reassemble_block(batch: pa.Table) -> pa.Table:
     """Re-stitch flattened span rows into per-document span lists.
 
     Requires all rows of a doc_id to be in the same batch (guaranteed by
-    the preceding hash repartition on doc_id with batch_size=None).
+    OcrSpanProcessor receiving whole documents, or by a preceding hash
+    repartition on doc_id with batch_size=None).
     Sorts by (doc_id, offset) and builds the list column with run-length
-    offsets — no per-doc Python.
+    offsets — no per-doc Python. Marker rows of
+    `explode_spans(keep_spanless=True)` come back as their documents
+    with an empty (text "") or null (text null) spans list.
     """
-    t = batch.combine_chunks().sort_by(
-        [("doc_id", "ascending"), ("offset", "ascending")]
-    )
+    t = batch.combine_chunks()
+    marker = pc.and_(pc.is_null(t.column("kind")), pc.is_null(t.column("offset")))
+    if pc.any(marker).as_py():
+        marks = t.filter(marker)
+        empty = pa.array([[]] * marks.num_rows, type=SPANS_SCHEMA.field("spans").type)
+        spanless = pa.table(
+            {
+                "doc_id": marks.column("doc_id"),
+                "spans": pc.if_else(pc.is_null(marks.column("text")), None, empty),
+            },
+            schema=SPANS_SCHEMA,
+        )
+        return pa.concat_tables([reassemble_block(t.filter(pc.invert(marker))), spanless])
+    t = t.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
     if t.num_rows == 0:
         return pa.table({"doc_id": [], "spans": []}, schema=SPANS_SCHEMA)
     doc = t.column("doc_id").combine_chunks()
@@ -681,13 +776,20 @@ def build_ocr_pipeline(
     `media_store` may be a dict, a `ray.ObjectRef` to a dict (broadcast
     once — preferred), or a path to the media parquet (each actor loads
     it itself; useful when the object store is tight).
+
+    By default the OCR actors take whole documents and re-stitch them
+    in place (no exchange). With `balance_partitions > 0` span rows are
+    balanced across partitions before OCR and re-stitched by a `doc_id`
+    exchange. `reassemble=False` explodes the finished documents to one
+    row per span (debug tap).
     """
     cfg = config or OcrPipelineConfig()
     if isinstance(media_store, dict):
         media_store = ray.put(media_store)
-
-    flat = spans_ds.map_batches(explode_spans, batch_format="pyarrow")
     if cfg.balance_partitions > 0:
+        flat = spans_ds.map_batches(
+            explode_spans, fn_kwargs={"keep_spanless": True}, batch_format="pyarrow"
+        )
         enable_hash_shuffle(flat)
         flat = (
             flat.map_batches(
@@ -707,30 +809,11 @@ def build_ocr_pipeline(
                 batch_format="pyarrow",
             )
         )
-    ocr = flat.map_batches(
-        OcrSpanProcessor,
-        fn_constructor_kwargs={
-            "media_store": media_store,
-            "engine_factory": cfg.engine_factory,
-            "cache_media": cfg.cache_media,
-            "metrics_name": cfg.metrics_name,
-            "on_error": cfg.on_error,
-        },
-        batch_format="pyarrow",
-        batch_size=cfg.ocr_batch_size,
-        concurrency=cfg.ocr_concurrency,
-        num_cpus=cfg.ocr_num_cpus,
-        **({"num_gpus": cfg.ocr_num_gpus} if cfg.ocr_num_gpus > 0 else {}),
-    )
-    if not reassemble:
-        return ocr
-    if enable_hash_shuffle(ocr):
-        partitioned = ocr.repartition(cfg.reassemble_partitions, keys=["doc_id"])
-        return partitioned.map_batches(
-            reassemble_block, batch_format="pyarrow", batch_size=None
-        )
-    # Fallback: sort-shuffle groupby; slower (per-group Python) but
-    # identical semantics.
-    return ocr.groupby("doc_id").map_groups(
-        reassemble_block, batch_format="pyarrow"
-    )
+        stage = _ocr_stage(cfg, SPAN_ROWS_PER_BATCH, media_store=media_store)
+        docs = _restitch_by_doc(flat.map_batches(OcrSpanProcessor, **stage), cfg)
+    else:
+        stage = _ocr_stage(cfg, DOCS_PER_BATCH, media_store=media_store)
+        docs = spans_ds.map_batches(OcrSpanProcessor, **stage)
+    if reassemble:
+        return docs
+    return docs.map_batches(explode_spans, batch_format="pyarrow")

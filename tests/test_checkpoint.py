@@ -180,3 +180,23 @@ def test_job_cli_submit_and_resume(corpus, tmp_path):
     assert comp["dir"] == compact_dir
     assert comp["files_after"] < comp["files_before"], comp
     assert _output_docs(compact_dir) == got
+
+
+def test_compact_job_output_reduces_fragmented_shards(corpus, tmp_path):
+    """compact_job_output on the job layout itself (part=<sid>/ with
+    several parquet files per shard): strictly fewer files, same docs."""
+    from ocrs_ray.state import compact_job_output
+
+    out_root = str(tmp_path / "out")
+    docs = pq.read_table(corpus["spans"])
+    step = 10
+    for sid in range(4):
+        shard = docs.slice(sid * 50, 50)
+        part = os.path.join(out_root, f"part={sid}")
+        os.makedirs(part)
+        for i in range(0, shard.num_rows, step):
+            pq.write_table(shard.slice(i, step), os.path.join(part, f"{i:04d}.parquet"))
+    comp = compact_job_output(out_root, str(tmp_path / "compact"))
+    assert comp["files_before"] == 20
+    assert comp["files_after"] < comp["files_before"], comp
+    assert _output_docs(str(tmp_path / "compact")) == _output_docs(out_root)

@@ -789,6 +789,28 @@ def test_hashing_embedder_kernel():
     assert len(out["embedding"][0]) == 8
 
 
+def test_hashing_embedder_zero_row_batch_is_typed():
+    """A zero-row batch yields typed columns, never object dtype, and
+    the embedding type matches what a non-empty batch converts to."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from ocrs_ray.ops.similarity import HashingEmbedder
+
+    emb = HashingEmbedder(dim=8)
+    empty = pd.DataFrame(
+        {"doc_id": pd.Series([], dtype="int64"), "text": pd.Series([], dtype=object)}
+    )
+    out = emb(empty)
+    assert len(out) == 0 and list(out.columns) == ["doc_id", "embedding"]
+    assert not any(dt == object for dt in out.dtypes)
+    full = emb(pd.DataFrame({"doc_id": [1], "text": ["a b"]}))
+    got = pa.Table.from_pandas(out, preserve_index=False).schema
+    want = pa.Table.from_pandas(full, preserve_index=False).schema
+    assert got.field("embedding").type == want.field("embedding").type
+    assert got.field("doc_id").type == pa.int64()
+
+
 def test_attach_pair_texts_broadcast_equals_join(ray_session):
     """The size-selected broadcast path and the hash-join path of the
     candidate text resolver are interchangeable."""

@@ -9,11 +9,14 @@ from ocrs_ray.corpus import ensure_corpus
 from ocrs_ray.pipeline import (
     OcrPipelineConfig,
     build_ocr_pipeline,
+    build_ocr_pipeline_joined,
     explode_spans,
     load_media_store,
     read_spans,
     reassemble_block,
 )
+
+from .util import arrow_rows
 
 CORPUS_ROOT = "/tmp/ocrs_ray_test_corpus/docs100"
 
@@ -257,3 +260,81 @@ def test_gpu_actor_pool_mapping_contract(ray_session, corpus, monkeypatch):
     )
     ocr_calls = [kw for n, kw in calls if n.startswith("Ocr")]
     assert ocr_calls and "num_gpus" not in ocr_calls[-1]
+
+
+OCR_PATHS = ("default", "balanced", "joined")
+
+
+def _build_path(path, spans_ds, corpus):
+    """One of the three OCR pipeline builds over `spans_ds`: the
+    document-granular default, pixel-balanced span rows, and the media
+    hash join."""
+    import ray.data as rd
+
+    cfg = OcrPipelineConfig(
+        ocr_concurrency=(1, 2),
+        reassemble_partitions=2,
+        balance_partitions=2 if path == "balanced" else 0,
+    )
+    if path == "joined":
+        media = rd.read_parquet(
+            corpus["media"],
+            columns=["media_ref", "image", "height", "width", "channels", "format"],
+        )
+        return build_ocr_pipeline_joined(spans_ds, media, cfg, join_partitions=2)
+    return build_ocr_pipeline(spans_ds, load_media_store(corpus["media"]), cfg)
+
+
+@pytest.fixture(scope="module")
+def spanless_input(corpus, tmp_path_factory):
+    """A 3-doc spans table: one corpus doc with media, one with an
+    empty `spans` list, one with a null `spans` list."""
+    import pyarrow as pa
+
+    from ocrs_ray.schema import SPANS_SCHEMA
+
+    docs = pq.read_table(corpus["spans"]).to_pylist()
+    with_media = next(d for d in docs if any(s["kind"] == "media" for s in d["spans"]))
+    table = pa.Table.from_pylist(
+        [with_media, {"doc_id": "zz-empty", "spans": []}, {"doc_id": "zz-null", "spans": None}],
+        schema=SPANS_SCHEMA,
+    )
+    path = str(tmp_path_factory.mktemp("spanless") / "spans.parquet")
+    pq.write_table(table, path)
+    return path, with_media["doc_id"]
+
+
+@pytest.mark.parametrize("path", OCR_PATHS)
+def test_spanless_docs_survive_every_path(ray_session, corpus, spanless_input, path):
+    """A document whose spans list is empty or null comes out with its
+    spans value unchanged (explode_spans emits no row for it)."""
+    spans_path, media_doc = spanless_input
+    out = _build_path(path, read_spans(spans_path), corpus)
+    got = {r["doc_id"]: r["spans"] for r in arrow_rows(out)}
+    exp = pq.read_table(corpus["expected_flat"]).to_pandas()
+    want = (
+        exp[exp["doc_id"] == media_doc]
+        .sort_values("offset")[["kind", "text", "media_ref", "offset"]]
+        .to_dict("records")
+    )
+    assert got == {"zz-empty": [], "zz-null": None, media_doc: want}
+
+
+@pytest.mark.parametrize("path", OCR_PATHS)
+def test_only_span_row_paths_exchange_on_doc_id(ray_session, corpus, spanless_input, path):
+    """The default build re-stitches inside the OCR actor: its executed
+    plan holds no shuffle or repartition. The balanced and joined
+    builds feed span rows, so they keep the keyed doc_id exchange.
+    Span-less documents add no read: the spans table is read once,
+    twice on the joined path (text and media branches) plus the media
+    table."""
+    import re
+
+    out = _build_path(path, read_spans(spanless_input[0]), corpus).materialize()
+    stats = out.stats()
+    if path == "default":
+        assert "Shuffle" not in stats and "Repartition" not in stats
+    else:
+        assert "key_columns=('doc_id',)" in stats
+    reads = re.findall(r"^Operator \d+ ReadParquet", stats, re.M)
+    assert len(reads) == (3 if path == "joined" else 1), stats

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from .util import arrow_rows
+
 
 @pytest.fixture(scope="module")
 def corpus(ray_session):
@@ -70,16 +72,73 @@ def test_quarantine_keeps_job_alive(corpus):
             elif s["text"]:
                 clean += 1
     assert poisoned > 0 and clean > 0
+    assert _poison_rows(metrics, poisoned) == poisoned
+
+
+def _poison_rows(metrics, want: int) -> int:
+    """The metrics actor's poison_rows once it reaches `want` (flushes
+    are fire-and-forget), or its value after 5 s."""
     import time
+
+    import ray
 
     deadline = time.time() + 5
     counted = 0
     while time.time() < deadline:
         counted = ray.get(metrics.snapshot.remote()).get("poison_rows", 0)
-        if counted >= poisoned:
+        if counted >= want:
             break
         time.sleep(0.1)
-    assert counted == poisoned
+    return counted
+
+
+def test_quarantine_same_on_broadcast_and_joined(corpus):
+    """A poison media span is quarantined the same way whether media
+    come from the broadcast store or the media_ref hash join: same
+    output, same poison_rows count."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from ocrs_ray.pipeline import (
+        OcrPipelineConfig,
+        build_ocr_pipeline,
+        build_ocr_pipeline_joined,
+        read_spans,
+    )
+    from ocrs_ray.state.metrics import MetricsActor
+
+    store, victim = _broken_store(corpus)
+    media = pq.read_table(
+        corpus["media"],
+        columns=["media_ref", "image", "height", "width", "channels", "format"],
+    )
+    media = media.filter(pc.not_equal(media["media_ref"], victim))
+    outs, counts = {}, {}
+    for path in ("broadcast", "joined"):
+        name = f"poison_{path}_metrics"
+        metrics = MetricsActor.options(name=name, get_if_exists=True).remote()
+        ray.get(metrics.reset.remote())
+        cfg = OcrPipelineConfig(
+            ocr_concurrency=(1, 2),
+            reassemble_partitions=4,
+            on_error="quarantine",
+            metrics_name=name,
+        )
+        spans = read_spans(corpus["spans"])
+        if path == "broadcast":
+            ds = build_ocr_pipeline(spans, store, cfg)
+        else:
+            ds = build_ocr_pipeline_joined(spans, rd.from_arrow(media), cfg, join_partitions=4)
+        outs[path] = sorted(arrow_rows(ds), key=lambda r: r["doc_id"])
+        poisoned = sum(
+            s["media_ref"] == victim for r in outs[path] for s in r["spans"]
+        )
+        counts[path] = _poison_rows(metrics, poisoned)
+    assert len(outs["broadcast"]) == 60
+    assert outs["joined"] == outs["broadcast"]
+    assert counts["joined"] == counts["broadcast"] == poisoned > 0
 
 
 def test_invalid_on_error_rejected():

@@ -53,3 +53,15 @@ def gen_test_image(n_words: int) -> np.ndarray:
     for word_idx in range(n_words):
         fill_rect(image, Rect.from_tlhw(30, word_idx * 70, 20, 50), 1.0)
     return image
+
+
+def arrow_rows(ds) -> list[dict]:
+    """Every row of a Ray dataset as a dict, read through its Arrow
+    blocks so list and null values stay exact. Materializes once (a
+    bare `to_arrow_refs` re-executes the plan to fetch the schema) and
+    skips the zero-column blocks that empty exchange partitions yield."""
+    import pyarrow as pa
+    import ray
+
+    blocks = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(blocks).to_pylist()
