@@ -1,9 +1,10 @@
 """OcrEngine facade: staged per-image API over detection + recognition.
 
 Parity surface: /root/reference/ocrs/src/lib.rs:111-300. In the Ray
-pipeline this class is not an operator — it is the per-actor state
-(both models + alphabet + decode config) used inside `map_batches`
-actor stages; the staged methods double as composable debug taps.
+pipeline this class is not an operator — it is the per-worker-process
+state (both models + alphabet + decode config) used inside the OCR
+`map_batches` task stage; the staged methods double as composable
+debug taps.
 """
 
 from __future__ import annotations

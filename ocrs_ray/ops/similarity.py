@@ -900,7 +900,7 @@ def _semdedup_core(
                         "unit": pa.array([], type=pa.list_(pa.float64())),
                     }
                 )
-            vid = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
+            vid = np.asarray(batch.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
             u = _unit(embedding_batch_matrix(batch))
             # argmax takes the FIRST maximal centroid — lowest cluster
             # id on ties, matching the reference kernel exactly

@@ -3,8 +3,8 @@
 Lifecycle of the default (broadcast-store) path, SURVEY.md §3.4:
 
     read spans table                           # one row per document
-      -> map_batches(OcrSpanProcessor, ...)    # actor pool over whole
-             documents; one __call__ explodes the batch, decodes +
+      -> map_batches(OcrSpanProcessor(...))    # task stage over whole
+             documents; one call explodes the batch, decodes +
              detects + lays out + recognizes its media spans, passes
              text spans through and re-stitches with reassemble_block
       -> write_parquet / return
@@ -18,9 +18,17 @@ rows, which split a document across batches: `build_ocr_pipeline_joined`
     read spans table
       -> map_batches(explode_spans)            # one row per span, one
              marker row per document with no spans
-      -> ... -> OCR actor pool over span rows
+      -> ... -> OCR task stage over span rows
       -> repartition(keys=["doc_id"])          # re-stitch exchange
       -> map_batches(reassemble_block)
+
+The OCR stage is a callable processor instance, so Ray Data runs it as
+tasks on Ray's reused worker processes rather than on an actor pool
+that lives for one execution. The stage's heavy state (engine, media
+store, memo cache) sits in one slot per worker process: the first OCR
+batch in a process builds it, later batches, of this job and of later
+jobs and shards, reuse it while the store and options match. Between
+batches the stage holds no CPU.
 
 Every output row satisfies span-sequence equality (kind, text,
 media_ref, order) against the per-image engine's golden outputs, and a
@@ -28,7 +36,7 @@ document whose `spans` list is empty or null comes out unchanged.
 
 Scale notes:
 - media payloads are resolved from a broadcast store (`ray.put` once,
-  `ray.get` in each actor's __init__) when the media table is small; a
+  `ray.get` once per worker process) when the media table is small; a
   hash join on media_ref covers large media tables
   (`build_ocr_pipeline_joined`).
 - reassembly is fully vectorized (no per-doc Python calls).
@@ -39,7 +47,9 @@ Scale notes:
 
 from __future__ import annotations
 
+import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -70,12 +80,13 @@ __all__ = [
 
 
 #: Default OCR batch on the default path, in documents. Images are
-#: decoded one at a time, so the batch mostly sets the actor-pool TASK
-#: granularity: batches per stage must comfortably exceed pool size or
-#: stragglers bound the stage. 16 documents (~72 spans at the
-#: benchmark's 4.5 spans per document) keeps the granularity of the
+#: decoded one at a time, so the batch mostly sets the OCR stage's TASK
+#: granularity: batches per stage must comfortably exceed its
+#: concurrency or stragglers bound the stage. 16 documents (~72 spans
+#: at the benchmark's 4.5 spans per document) keeps the granularity of the
 #: measured span-row setting below. perfbench `ocr_unique` (160-doc
-#: jobs, 2 actors, 6 logical CPUs on a 1-CPU host), seeds 21-23 each,
+#: jobs, 2 OCR actors, 6 logical CPUs on a 1-CPU host; measured before
+#: the stage moved to tasks), seeds 21-23 each,
 #: at 16 / 32 / 64 documents gave median cpu_s_per_op 5.85 / 5.55 /
 #: 5.69 s (inside run-to-run noise), op_s.p50 2.83 / 3.11 / 3.11 s and
 #: peak RSS 2222 / 2124 / 2010 MB. Large pools are unmeasured at this
@@ -92,30 +103,41 @@ SPAN_ROWS_PER_BATCH = 64
 class OcrPipelineConfig:
     """Tuning knobs for the OCR pipeline stages."""
 
-    #: rows per batch into the OCR actor pool, counted in the rows of
+    #: rows per batch into the OCR stage, counted in the rows of
     #: the stage's input: DOCUMENTS on the default path, span rows on
     #: the joined and balanced paths. None picks the measured default
     #: of each: DOCS_PER_BATCH or SPAN_ROWS_PER_BATCH.
     ocr_batch_size: int | None = None
-    #: OCR actor pool size (fixed int or (min, max) tuple).
+    #: most OCR tasks running at once: an int, or a (min, max) tuple
+    #: whose max is the cap. A task holds its CPUs only while it runs
+    #: a batch, so a cap equal to the session's CPUs still leaves the
+    #: read task room between batches (an actor pool that size held
+    #: every CPU and starved the read).
     ocr_concurrency: Any = 4
-    #: CPUs reserved per OCR actor.
+    #: CPUs reserved per running OCR task.
     ocr_num_cpus: float = 1.0
-    #: GPUs reserved per OCR actor (north-star: detection/recognition
-    #: weights live in GPU actor pools on a real cluster). 0 keeps the
+    #: GPUs reserved per running OCR task (north-star: detection and
+    #: recognition weights live on GPUs on a real cluster). 0 keeps the
     #: stage CPU-only — the only mode testable in this sandbox; >0 maps
-    #: the SAME pipeline onto GPU actors (fractional values pack
-    #: multiple actors per device).
+    #: the SAME pipeline onto GPU workers, which then stay warm like
+    #: CPU ones (fractional values pack several tasks per device).
     ocr_num_gpus: float = 0.0
     #: number of hash partitions for the `doc_id` re-stitch exchange of
     #: the joined and balanced paths; the default path has no exchange.
     #: Scale to ~2-4x total cores; at cluster scale, to total cores
     #: across nodes.
     reassemble_partitions: int = 16
-    #: memoize per-media_ref OCR results inside each actor (exact dedup
-    #: of repeated media fetches; templates repeat in the corpus).
+    #: memoize per-media_ref OCR results in each worker process (exact
+    #: dedup of repeated media fetches; templates repeat in the corpus).
+    #: The memo lives as long as the process's OCR state, so it spans
+    #: the jobs and shards that share a media store. The `pixels`
+    #: counter counts computed pixels only, so it can fall on later
+    #: shards of a job while `media_spans` stays exact.
     cache_media: bool = True
-    #: factory for the per-actor engine (fake models by default).
+    #: factory for the engine, called once per worker process (fake
+    #: models by default). A module-level function keeps the engine
+    #: warm across tasks; a closure is a new object in each task and
+    #: rebuilds it per batch.
     engine_factory: Callable = make_engine
     #: name of a MetricsActor to flush per-batch lineage counters to
     #: (see ocrs_ray.state.metrics); None disables flushing.
@@ -124,7 +146,7 @@ class OcrPipelineConfig:
     #: partitions by estimated pixel volume, then hash-shuffle on the
     #: bin id so no OCR partition carries a disproportionate pixel
     #: load (north-rule "repartitioning by estimated pixel volume").
-    #: 0 disables (default: the actor pool's pull-based batch
+    #: 0 disables (default: the OCR stage's pull-based batch
     #: scheduling already absorbs moderate skew; enable for
     #: heavy-tailed media sizes where whole batches can be hot).
     #: Measured crossover (tools/whale_skew_proof.py, BASELINE.md): 8
@@ -309,37 +331,26 @@ def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
     raise ValueError(f"unknown media format: {fmt}")
 
 
-class _MediaOcr:
-    """Engine, memo cache, poison-row quarantine and lineage counters
-    shared by the OCR actors: one decode -> OCR -> quarantine path,
-    whether the payload comes from a broadcast store or a join."""
+#: This worker process's OCR state: `(key, _OcrState)`, or None until an
+#: OCR task first runs here. Ray reuses task worker processes, so later
+#: tasks, of this job and of later ones, find the state built; one slot
+#: means a process never holds two media stores.
+_WARM: tuple | None = None
 
-    def __init__(
-        self,
-        engine_factory: Callable = make_engine,
-        cache_media: bool = True,
-        metrics_name: str | None = None,
-        on_error: str = "raise",
-    ):
-        if on_error not in ("raise", "quarantine"):
-            raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
+
+class _OcrState:
+    """One process's heavy OCR state: engine, media store and memo
+    cache, and the one decode -> OCR -> quarantine path of both OCR
+    processors, whether the payload comes from the store or a join."""
+
+    def __init__(self, engine: Any, media: dict | None, cache_media: bool, on_error: str):
+        self.engine = engine
+        self.media = media
         self.on_error = on_error
-        self.engine = engine_factory()
         self.cache: dict[str, str] | None = {} if cache_media else None
-        # lineage counters, flushed per batch (fire-and-forget) to the
-        # named metrics actor when one is configured.
-        self.n_media = 0
-        self.n_pixels = 0
-        self.n_poison = 0
-        self._metrics = None
-        if metrics_name is not None:
-            try:
-                self._metrics = ray.get_actor(metrics_name)
-            except ValueError:
-                pass
 
-    def _ocr_one(self, ref: str, payload: tuple | None) -> str:
-        self.n_media += 1  # spans processed (cache hits included)
+    def _ocr_one(self, ref: str, payload: tuple | None, counts: dict[str, int]) -> str:
+        counts["media_spans"] += 1  # spans processed (cache hits included)
         if self.cache is not None and ref in self.cache:
             return self.cache[ref]
         if payload is None:
@@ -347,18 +358,20 @@ class _MediaOcr:
         img = decode_media(payload)
         inp = self.engine.prepare_input(img, order="hwc")
         text = self.engine.get_text(inp)
-        self.n_pixels += img.shape[0] * img.shape[1]
+        counts["pixels"] += img.shape[0] * img.shape[1]
         if self.cache is not None:
             self.cache[ref] = text
         return text
 
-    def _ocr_or_quarantine(self, ref: str, doc_id: str, payload: tuple | None) -> str:
+    def _ocr_or_quarantine(
+        self, ref: str, doc_id: str, payload: tuple | None, counts: dict[str, int]
+    ) -> str:
         if self.on_error == "raise":
-            return self._ocr_one(ref, payload)
+            return self._ocr_one(ref, payload, counts)
         try:
-            return self._ocr_one(ref, payload)
+            return self._ocr_one(ref, payload, counts)
         except Exception as exc:  # poison row: empty text, keep going
-            self.n_poison += 1
+            counts["poison_rows"] += 1
             import logging
 
             logging.getLogger(__name__).warning(
@@ -366,36 +379,107 @@ class _MediaOcr:
             )
             return ""
 
-    def _flush_metrics(self) -> None:
-        if self._metrics is not None and (self.n_media or self.n_pixels or self.n_poison):
-            self._metrics.add.remote(
-                {
-                    "media_spans": self.n_media,
-                    "pixels": self.n_pixels,
-                    "poison_rows": self.n_poison,
-                }
-            )
-            self.n_media = 0
-            self.n_pixels = 0
-            self.n_poison = 0
-
-    def ocr_texts(self, refs: list, docs: list, payloads) -> list[str]:
-        """OCR text of each media span (quarantined spans read ""),
-        then one metrics flush for the batch."""
+    def ocr_texts(self, refs: list, docs: list, payloads) -> tuple[list[str], dict[str, int]]:
+        """OCR text of each media span (quarantined spans read "") and
+        the lineage counters of the call. `payloads` None resolves each
+        ref in the media store."""
+        if payloads is None:
+            payloads = (self.media.get(ref) for ref in refs)
+        counts = {"media_spans": 0, "pixels": 0, "poison_rows": 0}
         texts = [
-            self._ocr_or_quarantine(ref, doc, payload)
+            self._ocr_or_quarantine(ref, doc, payload, counts)
             for ref, doc, payload in zip(refs, docs, payloads)
         ]
-        self._flush_metrics()
+        return texts, counts
+
+
+class _MediaOcr:
+    """Options shared by the OCR processors: a callable instance built
+    on the driver and pickled into every OCR task. It holds no heavy
+    state; the first task in a worker process builds the `_OcrState`
+    and later tasks reuse it while their key matches (see `_state`).
+    Lineage counters are flushed per batch, fire-and-forget, to the
+    named metrics actor when one is configured."""
+
+    def __init__(
+        self,
+        media_store: Any = None,
+        engine_factory: Callable = make_engine,
+        cache_media: bool = True,
+        metrics_name: str | None = None,
+        on_error: str = "raise",
+    ):
+        if on_error not in ("raise", "quarantine"):
+            raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
+        self.media_store = media_store
+        self.engine_factory = engine_factory
+        self.cache_media = cache_media
+        self.metrics_name = metrics_name
+        self.on_error = on_error
+        # A dict store, or payloads that arrive by join, have no identity
+        # a worker can see: their state lives for the tasks of one build.
+        self._build_id = uuid.uuid4().hex
+
+    def _store_key(self) -> Any:
+        """The store's identity as every task of every build sees it:
+        the ObjectRef, or the path and its mtime (a rewritten file is a
+        new store)."""
+        s = self.media_store
+        if isinstance(s, ray.ObjectRef):
+            return s.hex()
+        if isinstance(s, str):
+            return (s, os.stat(s).st_mtime_ns)
+        return self._build_id
+
+    def _state(self) -> _OcrState:
+        """This process's state for these options, built on first use.
+        The key holds everything that changes the output; the engine
+        depends on the factory alone, so a new store keeps it. A factory
+        that pickles by value (a closure) is a new object in every task
+        and rebuilds the state per task: correct, only slower."""
+        global _WARM
+        key = (self._store_key(), self.engine_factory, self.cache_media, self.on_error)
+        old = _WARM
+        if old is not None and old[0] == key:
+            return old[1]
+        _WARM = None  # release the old store before loading the new one
+        engine = old[1].engine if old is not None and old[0][1] == self.engine_factory else None
+        del old
+        if engine is None:
+            engine = self.engine_factory()
+        s = self.media_store
+        if isinstance(s, ray.ObjectRef):
+            media = ray.get(s)
+        elif isinstance(s, str):
+            media = load_media_store(s)
+        else:
+            media = s
+        state = _OcrState(engine, media, self.cache_media, self.on_error)
+        _WARM = (key, state)
+        return state
+
+    def ocr_texts(self, refs: list, docs: list, payloads=None) -> list[str]:
+        """OCR text of each media span (quarantined spans read ""),
+        then one metrics flush for the batch. The metrics actor is
+        looked up per call: it can be re-created between jobs."""
+        texts, counts = self._state().ocr_texts(refs, docs, payloads)
+        if self.metrics_name is not None and any(counts.values()):
+            try:
+                ray.get_actor(self.metrics_name).add.remote(counts)
+            except ValueError:
+                pass
         return texts
 
 
 class OcrSpanProcessor(_MediaOcr):
-    """Actor-pool stage: OCR media spans, pass text spans through.
+    """Task stage: OCR media spans, pass text spans through.
 
-    State (media store + both models) is built once per actor in
-    `__init__`; work is per batch. Mirrors the stateful-stage mapping
-    of SURVEY.md §2.3 (A1/A2). A batch is either
+    Built on the driver from the options and the media store (a dict,
+    an ObjectRef to one, or a parquet path); the media store and both
+    models are loaded once per worker process, by the first batch that
+    runs there, and kept for later batches and jobs (`_MediaOcr`).
+    Mirrors the stateful-stage mapping of SURVEY.md §2.3 (A1/A2). A
+    batch is either
     - spans-table rows (doc_id, spans), each a whole document: the
       batch is exploded, OCR'd and re-stitched in this one call, so
       the output is the finished documents and no exchange is needed;
@@ -403,22 +487,6 @@ class OcrSpanProcessor(_MediaOcr):
       rows come back for a downstream `doc_id` exchange. Marker rows
       of span-less documents pass through like text spans.
     """
-
-    def __init__(
-        self,
-        media_store: Any,
-        engine_factory: Callable = make_engine,
-        cache_media: bool = True,
-        metrics_name: str | None = None,
-        on_error: str = "raise",
-    ):
-        super().__init__(engine_factory, cache_media, metrics_name, on_error)
-        if isinstance(media_store, ray.ObjectRef):
-            self.media = ray.get(media_store)
-        elif isinstance(media_store, str):
-            self.media = load_media_store(media_store)
-        else:
-            self.media = media_store
 
     def _ocr_rows(self, batch: pa.Table) -> pa.Table:
         kind = batch.column("kind")
@@ -428,7 +496,7 @@ class OcrSpanProcessor(_MediaOcr):
         idx = np.flatnonzero(media_mask.combine_chunks().to_numpy(zero_copy_only=False))
         refs = batch.column("media_ref").take(pa.array(idx)).to_pylist()
         docs = batch.column("doc_id").take(pa.array(idx)).to_pylist()
-        ocr_texts = self.ocr_texts(refs, docs, (self.media.get(ref) for ref in refs))
+        ocr_texts = self.ocr_texts(refs, docs)
         text = batch.column("text").to_pylist()
         for i, t in zip(idx, ocr_texts):
             text[i] = t
@@ -500,7 +568,9 @@ class OcrInlineProcessor(_MediaOcr):
     """OCR media-span rows whose payload arrived inline via a shuffle
     join (columns image/height/width/channels/format joined onto the
     span rows). The large-media-table counterpart of OcrSpanProcessor:
-    no broadcast store; decode, quarantine and metrics are shared."""
+    no broadcast store; decode, quarantine and metrics are shared. The
+    joined media table has no identity a worker can check, so the memo
+    cache lives for one build; the engine still carries over."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols = [
@@ -526,23 +596,37 @@ class OcrInlineProcessor(_MediaOcr):
         )
 
 
-def _ocr_stage(cfg: OcrPipelineConfig, default_batch_size: int, **ctor_kwargs) -> dict:
-    """map_batches arguments of the OCR actor-pool stage;
+def _ocr_stage(
+    ds: rd.Dataset,
+    processor: type[_MediaOcr],
+    cfg: OcrPipelineConfig,
+    default_batch_size: int,
+    media_store: Any = None,
+) -> rd.Dataset:
+    """`ds` through the OCR stage. map_batches gets a callable
+    `processor` instance, not the class, so the stage runs as tasks on
+    Ray's reused worker processes and keeps its state warm from job to
+    job (a class would get an actor pool that lives for one execution).
     `default_batch_size` applies when `cfg.ocr_batch_size` is None."""
-    return {
-        "fn_constructor_kwargs": {
-            "engine_factory": cfg.engine_factory,
-            "cache_media": cfg.cache_media,
-            "metrics_name": cfg.metrics_name,
-            "on_error": cfg.on_error,
-            **ctor_kwargs,
-        },
-        "batch_format": "pyarrow",
-        "batch_size": cfg.ocr_batch_size or default_batch_size,
-        "concurrency": cfg.ocr_concurrency,
-        "num_cpus": cfg.ocr_num_cpus,
-        **({"num_gpus": cfg.ocr_num_gpus} if cfg.ocr_num_gpus > 0 else {}),
-    }
+    fn = processor(
+        media_store=media_store,
+        engine_factory=cfg.engine_factory,
+        cache_media=cfg.cache_media,
+        metrics_name=cfg.metrics_name,
+        on_error=cfg.on_error,
+    )
+    conc = cfg.ocr_concurrency
+    # Ray makes a GPU task's worker single-use (max_calls=1) unless told
+    # otherwise, which would boot a process, and the models, per batch.
+    gpu = {"num_gpus": cfg.ocr_num_gpus, "max_calls": 0} if cfg.ocr_num_gpus > 0 else {}
+    return ds.map_batches(
+        fn,
+        batch_format="pyarrow",
+        batch_size=cfg.ocr_batch_size or default_batch_size,
+        concurrency=conc[1] if isinstance(conc, tuple) else conc,
+        num_cpus=cfg.ocr_num_cpus,
+        **gpu,
+    )
 
 
 def _restitch_by_doc(flat: rd.Dataset, cfg: OcrPipelineConfig) -> rd.Dataset:
@@ -598,7 +682,7 @@ def build_ocr_pipeline_joined(
         num_partitions=join_partitions,
         on=("media_ref",),
     )
-    ocr = joined.map_batches(OcrInlineProcessor, **_ocr_stage(cfg, SPAN_ROWS_PER_BATCH))
+    ocr = _ocr_stage(joined, OcrInlineProcessor, cfg, SPAN_ROWS_PER_BATCH)
     return _restitch_by_doc(text_rows.union(ocr), cfg)
 
 
@@ -774,10 +858,12 @@ def build_ocr_pipeline(
     """Compose the full OCR pipeline lazily (nothing executes here).
 
     `media_store` may be a dict, a `ray.ObjectRef` to a dict (broadcast
-    once — preferred), or a path to the media parquet (each actor loads
-    it itself; useful when the object store is tight).
+    once — preferred), or a path to the media parquet (each worker
+    process loads it itself; useful when the object store is tight).
+    A store is loaded once per worker process and reused by later jobs
+    given the same ObjectRef or path.
 
-    By default the OCR actors take whole documents and re-stitch them
+    By default the OCR tasks take whole documents and re-stitch them
     in place (no exchange). With `balance_partitions > 0` span rows are
     balanced across partitions before OCR and re-stitched by a `doc_id`
     exchange. `reassemble=False` explodes the finished documents to one
@@ -809,11 +895,10 @@ def build_ocr_pipeline(
                 batch_format="pyarrow",
             )
         )
-        stage = _ocr_stage(cfg, SPAN_ROWS_PER_BATCH, media_store=media_store)
-        docs = _restitch_by_doc(flat.map_batches(OcrSpanProcessor, **stage), cfg)
+        ocr = _ocr_stage(flat, OcrSpanProcessor, cfg, SPAN_ROWS_PER_BATCH, media_store)
+        docs = _restitch_by_doc(ocr, cfg)
     else:
-        stage = _ocr_stage(cfg, DOCS_PER_BATCH, media_store=media_store)
-        docs = spans_ds.map_batches(OcrSpanProcessor, **stage)
+        docs = _ocr_stage(spans_ds, OcrSpanProcessor, cfg, DOCS_PER_BATCH, media_store)
     if reassemble:
         return docs
     return docs.map_batches(explode_spans, batch_format="pyarrow")

@@ -2,11 +2,11 @@
 char geometry back-projection.
 
 Re-implements the semantics of /root/reference/ocrs/src/recognition.rs
-as a numpy class intended for a Ray Data actor-pool stage. The
-reference's intra-image rayon parallelism over width buckets is replaced
-by inter-row parallelism across the actor pool; the width-bucket
+as a numpy class held by the Ray Data OCR stage. The reference's
+intra-image rayon parallelism over width buckets is replaced by
+inter-row parallelism across the OCR tasks; the width-bucket
 micro-batching (multiples of 50 px, <= 20 lines per batch) is kept
-inside the actor for model efficiency.
+inside each task for model efficiency.
 """
 
 from __future__ import annotations

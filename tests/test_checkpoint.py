@@ -200,3 +200,32 @@ def test_compact_job_output_reduces_fragmented_shards(corpus, tmp_path):
     assert comp["files_before"] == 20
     assert comp["files_after"] < comp["files_before"], comp
     assert _output_docs(str(tmp_path / "compact")) == _output_docs(out_root)
+
+
+def test_default_config_finishes_every_shard(corpus, tmp_path):
+    """`run_ocr_job(config=None)` on the 4-CPU session: the default
+    ocr_concurrency of 4 OCR tasks must leave the read task room to
+    run. An OCR actor pool of 4 held every CPU and no shard finished.
+    The job runs as a second driver on the session's cluster so a hang
+    fails here, after the timeout, and killing that driver frees its
+    workers for the tests after this one."""
+    import subprocess
+    import sys
+
+    import ray
+
+    out_root = str(tmp_path / "out")
+    script = (
+        "import ray; from ocrs_ray.state import run_ocr_job; "
+        "from ray.data import DataContext; "
+        f"ray.init(address={ray.get_runtime_context().gcs_address!r}, logging_level='ERROR'); "
+        "DataContext.get_current().enable_progress_bars = False; "
+        f"run_ocr_job({corpus['spans']!r}, {corpus['media']!r}, {out_root!r}, num_shards=4)"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": root}
+    subprocess.run([sys.executable, "-c", script], env=env, cwd=root, check=True, timeout=180)
+    from ocrs_ray.state import Manifest
+
+    assert len(Manifest(out_root).committed()) == 4
+    assert _output_docs(out_root) == _expected_docs(corpus)

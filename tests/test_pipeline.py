@@ -227,12 +227,14 @@ def test_first_file_rejects_lance_dir_without_pylance(tmp_path):
 
 
 def test_gpu_actor_pool_mapping_contract(ray_session, corpus, monkeypatch):
-    """The north-star deployment holds detection/recognition weights in
-    GPU actor pools; no GPU exists in this sandbox, so the seam is
-    contract-tested: building the (lazy, never-executed) pipeline with
-    ocr_num_gpus > 0 must pass num_gpus to the OCR actor stage, and
-    with the default 0 it must NOT send the kwarg (a zero value would
-    still make Ray schedule against the GPU resource)."""
+    """The north-star deployment holds detection/recognition weights on
+    GPUs; the test session has no GPU, so the seam is contract-tested:
+    building the (lazy, never-executed) pipeline with ocr_num_gpus > 0
+    must pass num_gpus to the OCR task stage, with max_calls=0 so Ray
+    keeps reusing the worker (and its loaded models) instead of making
+    a GPU task's worker single-use; with the default 0 it must send
+    neither kwarg (a zero num_gpus would still make Ray schedule
+    against the GPU resource)."""
     import ray.data as rd_mod
 
     calls = []
@@ -253,6 +255,7 @@ def test_gpu_actor_pool_mapping_contract(ray_session, corpus, monkeypatch):
     ocr_calls = [kw for n, kw in calls if n.startswith("Ocr")]
     assert ocr_calls and ocr_calls[-1]["num_gpus"] == 0.5
     assert ocr_calls[-1]["num_cpus"] == 1.0
+    assert ocr_calls[-1]["max_calls"] == 0
 
     calls.clear()
     build_ocr_pipeline(
@@ -260,6 +263,7 @@ def test_gpu_actor_pool_mapping_contract(ray_session, corpus, monkeypatch):
     )
     ocr_calls = [kw for n, kw in calls if n.startswith("Ocr")]
     assert ocr_calls and "num_gpus" not in ocr_calls[-1]
+    assert "max_calls" not in ocr_calls[-1]
 
 
 OCR_PATHS = ("default", "balanced", "joined")
@@ -322,7 +326,7 @@ def test_spanless_docs_survive_every_path(ray_session, corpus, spanless_input, p
 
 @pytest.mark.parametrize("path", OCR_PATHS)
 def test_only_span_row_paths_exchange_on_doc_id(ray_session, corpus, spanless_input, path):
-    """The default build re-stitches inside the OCR actor: its executed
+    """The default build re-stitches inside the OCR task: its executed
     plan holds no shuffle or repartition. The balanced and joined
     builds feed span rows, so they keep the keyed doc_id exchange.
     Span-less documents add no read: the spans table is read once,
