@@ -42,35 +42,29 @@ def _corpus_for(sf_dir: str) -> dict[str, str]:
     return ensure_corpus(os.path.join(CORPUS_BASE, name), n_docs=n_docs)
 
 
+def _ocr_config(**kw):
+    """OCR options of the gate queries. The 4-task cap is gate-scale
+    sizing: at sf0.01 (~1200 docs) a wider stage only adds worker
+    start-up. Production paths size from cluster_ncpu()*0.75 instead
+    (bench.py, job.py). ncpu-2 with a floor of 1 leaves the read task
+    and the exchanges room on small sessions."""
+    from ocrs_ray.pipeline import OcrPipelineConfig, cluster_ncpu
+
+    w = max(1, min(cluster_ncpu(default=4) - 2, 4))
+    return OcrPipelineConfig(ocr_concurrency=w, reassemble_partitions=8, **kw)
+
+
 def _ocr_docs(sf_dir: str):
     """Flagship pipeline: reassembled spans table (one row per doc)."""
     from ocrs_ray.pipeline import (
-        OcrPipelineConfig,
         build_ocr_pipeline,
-        cluster_ncpu,
         load_media_store,
         read_spans_lance as read_spans,
     )
 
     paths = _corpus_for(sf_dir)
-    ds = read_spans(paths["spans"])
     media = load_media_store(paths["media"])
-    # Pool sized to the cluster: a fixed pool taking every CPU deadlocks
-    # small clusters (actors + shuffle aggregators + the 1-CPU read task
-    # exceed the budget; see bench.py run_headline). Floor of 1, never
-    # 2 — at ncpu<=3 a second actor IS the deadlock. Conservative
-    # pre-init fallback (4 CPUs -> 2 actors) since the driver contract
-    # guarantees init happened, but a wrong guess must not hang.
-    # The 4-actor CAP is gate-scale-specific: the correctness gate runs
-    # at sf0.01 (~1200 docs) where actor startup dominates and a wide
-    # pool only adds spawn latency. Production paths size from
-    # cluster_ncpu()*0.75 instead (bench.py, job.py) — do NOT copy this
-    # cap into them.
-    ncpu = cluster_ncpu(default=4)
-    w = max(1, min(ncpu - 2, 4))
-    return build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=w, reassemble_partitions=8)
-    )
+    return build_ocr_pipeline(read_spans(paths["spans"]), media, _ocr_config())
 
 
 def _ocr_flat(sf_dir: str):
@@ -90,25 +84,16 @@ def _ocr_flat_beam(sf_dir: str):
     one-hot inputs; hand-computed posteriors in tests/)."""
     from ocrs_ray.corpus import make_engine
     from ocrs_ray.pipeline import (
-        OcrPipelineConfig,
         build_ocr_pipeline,
-        cluster_ncpu,
         explode_spans,
         load_media_store,
         read_spans_lance as read_spans,
     )
 
     paths = _corpus_for(sf_dir)
-    ds = read_spans(paths["spans"])
     media = load_media_store(paths["media"])
-    ncpu = cluster_ncpu(default=4)
-    w = max(1, min(ncpu - 2, 4))
-    cfg = OcrPipelineConfig(
-        ocr_concurrency=w,
-        reassemble_partitions=8,
-        engine_factory=lambda: make_engine(decode_method="beam"),
-    )
-    return build_ocr_pipeline(ds, media, cfg).map_batches(
+    cfg = _ocr_config(engine_factory=lambda: make_engine(decode_method="beam"))
+    return build_ocr_pipeline(read_spans(paths["spans"]), media, cfg).map_batches(
         explode_spans, batch_format="pyarrow"
     )
 
@@ -230,30 +215,15 @@ def _ocr_layout(sf_dir: str):
     """HierText-style layout JSON per media span (S6 sink as a Ray
     stage). Value-checked against the expected_layout golden; geometry
     pinned by unit tests."""
-    import pyarrow.compute as pc
-
-    import ray
     from ocrs_ray.pipeline import (
-        OcrLayoutProcessor,
-        explode_spans,
+        build_layout_pipeline,
         load_media_store,
         read_spans_lance as read_spans,
     )
 
     paths = _corpus_for(sf_dir)
-    ds = read_spans(paths["spans"])
-    media_ref = ray.put(load_media_store(paths["media"]))
-    flat = ds.map_batches(explode_spans, batch_format="pyarrow")
-    media_only = flat.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "media")), batch_format="pyarrow"
-    )
-    return media_only.map_batches(
-        OcrLayoutProcessor,
-        fn_constructor_kwargs={"media_store": media_ref},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-    )
+    media = load_media_store(paths["media"])
+    return build_layout_pipeline(read_spans(paths["spans"]), media, _ocr_config())
 
 
 def _ocr_joined_flat(sf_dir: str):
@@ -445,19 +415,7 @@ def _video_frames(sf_dir: str):
 
 def entry() -> Any:
     """Flagship pipeline at smoke scale; returns the spans table."""
-    from ocrs_ray.pipeline import (
-        OcrPipelineConfig,
-        build_ocr_pipeline,
-        load_media_store,
-        read_spans_lance as read_spans,
-    )
-
-    paths = _corpus_for("sf0.001")
-    ds = read_spans(paths["spans"])
-    media = load_media_store(paths["media"])
-    return build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
-    )
+    return _ocr_docs("sf0.001")
 
 
 #: The driver's correctness gate records only the first 50 queries()

@@ -1,6 +1,6 @@
 """The flagship Ray Data pipeline: interleaved spans -> OCR -> reassembly.
 
-Lifecycle of the default (broadcast-store) path, SURVEY.md §3.4:
+Lifecycle of every broadcast-store build, SURVEY.md §3.4:
 
     read spans table                           # one row per document
       -> map_batches(OcrSpanProcessor(...))    # task stage over whole
@@ -9,18 +9,16 @@ Lifecycle of the default (broadcast-store) path, SURVEY.md §3.4:
              text spans through and re-stitches with reassemble_block
       -> write_parquet / return
 
-A batch holds whole documents, so the re-stitch needs no exchange. The
-keyed `doc_id` exchange stays only where the OCR stage's input is span
-rows, which split a document across batches: `build_ocr_pipeline_joined`
-(media resolved by a hash join on media_ref) and `balance_partitions > 0`
-(spans LPT-binned by pixel volume). There the lifecycle is
+A batch holds whole documents, so the re-stitch needs no exchange.
+`balance_partitions > 0` LPT-bins the documents by media pixel volume
+in front of the stage; `build_layout_pipeline` runs the same stage with
+`OcrLayoutProcessor` (layout JSON per media span). Only
+`build_ocr_pipeline_joined` (media resolved by a cogroup on media_ref)
+splits documents into span rows, and so keeps the re-stitch exchange:
 
-    read spans table
-      -> map_batches(explode_spans)            # one row per span, one
-             marker row per document with no spans
-      -> ... -> OCR task stage over span rows
-      -> repartition(keys=["doc_id"])          # re-stitch exchange
-      -> map_batches(reassemble_block)
+    read spans table -> map_batches(explode_spans)
+      -> media spans: cogroup on media_ref -> OCR task stage
+      -> repartition(keys=["doc_id"]) -> map_batches(reassemble_block)
 
 The OCR stage is a callable processor instance, so Ray Data runs it as
 tasks on Ray's reused worker processes rather than on an actor pool
@@ -37,7 +35,7 @@ document whose `spans` list is empty or null comes out unchanged.
 Scale notes:
 - media payloads are resolved from a broadcast store (`ray.put` once,
   `ray.get` once per worker process) when the media table is small; a
-  hash join on media_ref covers large media tables
+  keyed cogroup on media_ref covers large media tables
   (`build_ocr_pipeline_joined`).
 - reassembly is fully vectorized (no per-doc Python calls).
 - ordering never relies on block arrival order: every span carries
@@ -48,9 +46,8 @@ Scale notes:
 from __future__ import annotations
 
 import os
-import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -61,7 +58,13 @@ import ray
 import ray.data as rd
 
 from .corpus import make_engine
-from .schema import FLAT_SPANS_SCHEMA, SPAN_STRUCT, SPANS_SCHEMA, validate_schema
+from .schema import (
+    FLAT_SPANS_SCHEMA,
+    MEDIA_SCHEMA,
+    SPAN_STRUCT,
+    SPANS_SCHEMA,
+    validate_schema,
+)
 
 __all__ = [
     "OcrPipelineConfig",
@@ -74,13 +77,15 @@ __all__ = [
     "write_spans",
     "build_ocr_pipeline",
     "build_ocr_pipeline_joined",
+    "build_layout_pipeline",
     "OcrInlineProcessor",
     "load_media_store",
 ]
 
 
-#: Default OCR batch on the default path, in documents. Images are
-#: decoded one at a time, so the batch mostly sets the OCR stage's TASK
+#: Default OCR batch of every document-batch build (default, balanced,
+#: layout), in documents. Images are decoded one at a time, so the
+#: batch mostly sets the OCR stage's TASK
 #: granularity: batches per stage must comfortably exceed its
 #: concurrency or stragglers bound the stage. 16 documents (~72 spans
 #: at the benchmark's 4.5 spans per document) keeps the granularity of the
@@ -92,10 +97,10 @@ __all__ = [
 #: peak RSS 2222 / 2124 / 2010 MB. Large pools are unmeasured at this
 #: granularity.
 DOCS_PER_BATCH = 16
-#: Default OCR batch on the joined and balanced paths, in span rows.
-#: Measured at 8k docs / 24 actors: 256 -> 22 tasks, 8.8-9.2 s; 64 ->
-#: 64 tasks, 6.5-7.7 s in alternating same-session runs; 16 is past
-#: the knee (per-task overhead wins).
+#: Default OCR batch on the joined path, the one build whose OCR stage
+#: takes span rows. Measured at 8k docs / 24 actors: 256 -> 22 tasks,
+#: 8.8-9.2 s; 64 -> 64 tasks, 6.5-7.7 s in alternating same-session
+#: runs; 16 is past the knee (per-task overhead wins).
 SPAN_ROWS_PER_BATCH = 64
 
 
@@ -104,9 +109,9 @@ class OcrPipelineConfig:
     """Tuning knobs for the OCR pipeline stages."""
 
     #: rows per batch into the OCR stage, counted in the rows of
-    #: the stage's input: DOCUMENTS on the default path, span rows on
-    #: the joined and balanced paths. None picks the measured default
-    #: of each: DOCS_PER_BATCH or SPAN_ROWS_PER_BATCH.
+    #: the stage's input: DOCUMENTS on the default, balanced and layout
+    #: builds, span rows on the joined path. None picks the measured
+    #: default of each: DOCS_PER_BATCH or SPAN_ROWS_PER_BATCH.
     ocr_batch_size: int | None = None
     #: most OCR tasks running at once: an int, or a (min, max) tuple
     #: whose max is the cap. A task holds its CPUs only while it runs
@@ -123,7 +128,7 @@ class OcrPipelineConfig:
     #: CPU ones (fractional values pack several tasks per device).
     ocr_num_gpus: float = 0.0
     #: number of hash partitions for the `doc_id` re-stitch exchange of
-    #: the joined and balanced paths; the default path has no exchange.
+    #: the joined path; the document-batch builds have no such exchange.
     #: Scale to ~2-4x total cores; at cluster scale, to total cores
     #: across nodes.
     reassemble_partitions: int = 16
@@ -142,10 +147,12 @@ class OcrPipelineConfig:
     #: name of a MetricsActor to flush per-batch lineage counters to
     #: (see ocrs_ray.state.metrics); None disables flushing.
     metrics_name: str | None = None
-    #: pre-OCR skew control: LPT-balance spans across this many
-    #: partitions by estimated pixel volume, then hash-shuffle on the
-    #: bin id so no OCR partition carries a disproportionate pixel
-    #: load (north-rule "repartitioning by estimated pixel volume").
+    #: pre-OCR skew control: weigh each document by the summed pixel
+    #: volume of its media spans, LPT-balance documents across this
+    #: many partitions, then hash-shuffle on the bin id so no OCR
+    #: partition carries a disproportionate pixel load (north-rule
+    #: "repartitioning by estimated pixel volume"). Documents stay
+    #: whole, so the OCR stage still re-stitches in place.
     #: 0 disables (default: the OCR stage's pull-based batch
     #: scheduling already absorbs moderate skew; enable for
     #: heavy-tailed media sizes where whole batches can be hot).
@@ -154,10 +161,13 @@ class OcrPipelineConfig:
     #: HURTS (exchange overhead); at 469x it wins 2.4x and at 2930x
     #: 4.3x. Enable when whale_pixels x whales_per_batch rivals
     #: rest_of_corpus / pool_size AND the tail is clustered in the
-    #: input order; randomly-placed whales rarely cross it.
+    #: input order; randomly-placed whales rarely cross it. (Measured
+    #: when span rows were binned; each whale there is a one-span
+    #: document, so document binning sees the same weights.)
     balance_partitions: int = 0
     #: "raise" aborts the job on a bad media span (exact-parity mode);
-    #: "quarantine" emits the span with empty text, counts it in the
+    #: "quarantine" emits the span with empty text (empty layout JSON
+    #: on the layout build), counts it in the
     #: poison_rows metric, and keeps the job running (SURVEY.md §4:
     #: poison-row quarantine instead of job abort — one corrupt
     #: payload must not kill a 10^12-row run).
@@ -285,13 +295,10 @@ def load_media_store(media_path: str) -> dict[str, tuple[bytes, int, int, int, s
     """Load the media sidecar table into a payload dict."""
     import pyarrow.parquet as pq
 
-    t = pq.read_table(
-        media_path, columns=["media_ref", "image", "height", "width", "channels", "format"]
-    )
-    return {
-        r["media_ref"]: (r["image"], r["height"], r["width"], r["channels"], r["format"])
-        for r in t.to_pylist()
-    }
+    cols = ["media_ref", "image", "height", "width", "channels", "format"]
+    t = pq.read_table(media_path, columns=cols)
+    refs, *payload = (t.column(c).to_pylist() for c in cols)
+    return dict(zip(refs, zip(*payload)))
 
 
 def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
@@ -340,37 +347,57 @@ _WARM: tuple | None = None
 
 class _OcrState:
     """One process's heavy OCR state: engine, media store and memo
-    cache, and the one decode -> OCR -> quarantine path of both OCR
-    processors, whether the payload comes from the store or a join."""
+    cache, and the one decode -> OCR -> quarantine path of every OCR
+    processor, whether the payload comes from the store or a join and
+    whether the output is text or layout JSON."""
 
     def __init__(self, engine: Any, media: dict | None, cache_media: bool, on_error: str):
         self.engine = engine
         self.media = media
         self.on_error = on_error
-        self.cache: dict[str, str] | None = {} if cache_media else None
+        # Keyed on (media_ref, layout): a worker that serves text and
+        # layout calls must never answer one with the other's memo.
+        self.cache: dict[tuple[str, bool], str] | None = {} if cache_media else None
 
-    def _ocr_one(self, ref: str, payload: tuple | None, counts: dict[str, int]) -> str:
+    def _ocr_one(
+        self, ref: str, payload: tuple | None, layout: bool, counts: dict[str, int]
+    ) -> str:
         counts["media_spans"] += 1  # spans processed (cache hits included)
-        if self.cache is not None and ref in self.cache:
-            return self.cache[ref]
+        key = (ref, layout)
+        if self.cache is not None and key in self.cache:
+            return self.cache[key]
         if payload is None:
             raise KeyError(f"unresolved media_ref: {ref}")
         img = decode_media(payload)
         inp = self.engine.prepare_input(img, order="hwc")
-        text = self.engine.get_text(inp)
+        out = self._layout_json(ref, img, inp) if layout else self.engine.get_text(inp)
         counts["pixels"] += img.shape[0] * img.shape[1]
         if self.cache is not None:
-            self.cache[ref] = text
-        return text
+            self.cache[key] = out
+        return out
+
+    def _layout_json(self, ref: str, img: np.ndarray, inp: Any) -> str:
+        """The staged engine surface (detect_words -> find_text_lines ->
+        recognize_text) with word/line rotated-rect vertices, as
+        deterministic HierText-style JSON (the reference's JSON output,
+        ocrs-cli/src/output.rs:29-101)."""
+        import json
+
+        from .output import ocr_json
+
+        words = self.engine.detect_words(inp)
+        lines = self.engine.find_text_lines(inp, words)
+        doc = ocr_json(ref, img.shape[:2], self.engine.recognize_text(inp, lines))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def _ocr_or_quarantine(
-        self, ref: str, doc_id: str, payload: tuple | None, counts: dict[str, int]
+        self, ref: str, doc_id: str, payload: tuple | None, layout: bool, counts: dict[str, int]
     ) -> str:
         if self.on_error == "raise":
-            return self._ocr_one(ref, payload, counts)
+            return self._ocr_one(ref, payload, layout, counts)
         try:
-            return self._ocr_one(ref, payload, counts)
-        except Exception as exc:  # poison row: empty text, keep going
+            return self._ocr_one(ref, payload, layout, counts)
+        except Exception as exc:  # poison row: empty output, keep going
             counts["poison_rows"] += 1
             import logging
 
@@ -379,18 +406,20 @@ class _OcrState:
             )
             return ""
 
-    def ocr_texts(self, refs: list, docs: list, payloads) -> tuple[list[str], dict[str, int]]:
-        """OCR text of each media span (quarantined spans read "") and
+    def ocr_media(
+        self, refs: list, docs: list, payloads, layout: bool
+    ) -> tuple[list[str], dict[str, int]]:
+        """OCR output of each media span (quarantined spans read "") and
         the lineage counters of the call. `payloads` None resolves each
         ref in the media store."""
         if payloads is None:
             payloads = (self.media.get(ref) for ref in refs)
         counts = {"media_spans": 0, "pixels": 0, "poison_rows": 0}
-        texts = [
-            self._ocr_or_quarantine(ref, doc, payload, counts)
+        out = [
+            self._ocr_or_quarantine(ref, doc, payload, layout, counts)
             for ref, doc, payload in zip(refs, docs, payloads)
         ]
-        return texts, counts
+        return out, counts
 
 
 class _MediaOcr:
@@ -400,6 +429,9 @@ class _MediaOcr:
     and later tasks reuse it while their key matches (see `_state`).
     Lineage counters are flushed per batch, fire-and-forget, to the
     named metrics actor when one is configured."""
+
+    #: Output per media span: layout JSON when True, else text.
+    layout = False
 
     def __init__(
         self,
@@ -436,7 +468,8 @@ class _MediaOcr:
         The key holds everything that changes the output; the engine
         depends on the factory alone, so a new store keeps it. A factory
         that pickles by value (a closure) is a new object in every task
-        and rebuilds the state per task: correct, only slower."""
+        and rebuilds the state per task: correct, only slower. Text and
+        layout processors share the state; the memo keeps them apart."""
         global _WARM
         key = (self._store_key(), self.engine_factory, self.cache_media, self.on_error)
         old = _WARM
@@ -458,129 +491,83 @@ class _MediaOcr:
         _WARM = (key, state)
         return state
 
-    def ocr_texts(self, refs: list, docs: list, payloads=None) -> list[str]:
-        """OCR text of each media span (quarantined spans read ""),
+    def ocr_media(self, refs: list, docs: list, payloads=None) -> list[str]:
+        """OCR output of each media span (quarantined spans read ""),
         then one metrics flush for the batch. The metrics actor is
         looked up per call: it can be re-created between jobs."""
-        texts, counts = self._state().ocr_texts(refs, docs, payloads)
+        out, counts = self._state().ocr_media(refs, docs, payloads, self.layout)
         if self.metrics_name is not None and any(counts.values()):
             try:
                 ray.get_actor(self.metrics_name).add.remote(counts)
             except ValueError:
                 pass
-        return texts
+        return out
 
 
 class OcrSpanProcessor(_MediaOcr):
-    """Task stage: OCR media spans, pass text spans through.
+    """Task stage over spans-table rows (doc_id, spans), each a whole
+    document: the batch is exploded, its media spans OCR'd, its text
+    spans passed through and its documents re-stitched in this one
+    call, so no exchange is needed. Other input columns are dropped.
 
     Built on the driver from the options and the media store (a dict,
     an ObjectRef to one, or a parquet path); the media store and both
     models are loaded once per worker process, by the first batch that
     runs there, and kept for later batches and jobs (`_MediaOcr`).
-    Mirrors the stateful-stage mapping of SURVEY.md §2.3 (A1/A2). A
-    batch is either
-    - spans-table rows (doc_id, spans), each a whole document: the
-      batch is exploded, OCR'd and re-stitched in this one call, so
-      the output is the finished documents and no exchange is needed;
-    - flattened span rows (`explode_spans` output): the OCR'd span
-      rows come back for a downstream `doc_id` exchange. Marker rows
-      of span-less documents pass through like text spans.
+    Mirrors the stateful-stage mapping of SURVEY.md §2.3 (A1/A2).
     """
 
-    def _ocr_rows(self, batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind")
-        media_mask = pc.fill_null(pc.equal(kind, "media"), False)
-        if pc.sum(media_mask).as_py() in (0, None):
-            return batch
-        idx = np.flatnonzero(media_mask.combine_chunks().to_numpy(zero_copy_only=False))
-        refs = batch.column("media_ref").take(pa.array(idx)).to_pylist()
-        docs = batch.column("doc_id").take(pa.array(idx)).to_pylist()
-        ocr_texts = self.ocr_texts(refs, docs)
-        text = batch.column("text").to_pylist()
-        for i, t in zip(idx, ocr_texts):
-            text[i] = t
-        return batch.set_column(
-            batch.schema.get_field_index("text"), "text", pa.array(text, type=pa.string())
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        flat = explode_spans(batch, keep_spanless=True).combine_chunks()
+        media = pc.fill_null(pc.equal(flat["kind"], "media"), False).combine_chunks()
+        if not pc.any(media).as_py():
+            return reassemble_block(flat)
+        rows = flat.filter(media)
+        texts = self.ocr_media(rows["media_ref"].to_pylist(), rows["doc_id"].to_pylist())
+        text = pc.replace_with_mask(
+            flat["text"].combine_chunks(), media, pa.array(texts, type=pa.string())
         )
+        return reassemble_block(flat.set_column(flat.schema.get_field_index("text"), "text", text))
+
+
+class OcrLayoutProcessor(_MediaOcr):
+    """Task stage: spans-table rows -> one row (doc_id, offset,
+    media_ref, layout_json) per media span. The Ray-level S6 sink
+    (SURVEY.md §2.1): per media span, HierText-style layout JSON
+    (`_OcrState._layout_json`) through the same store, engine, memo,
+    quarantine and metrics as the text processors."""
+
+    layout = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if "spans" not in batch.column_names:
-            return self._ocr_rows(batch)
-        return reassemble_block(self._ocr_rows(explode_spans(batch, keep_spanless=True)))
-
-
-class OcrLayoutProcessor:
-    """Actor-pool stage: media spans -> HierText-style layout JSON.
-
-    The Ray-level S6 sink (SURVEY.md §2.1): per media span, the full
-    staged engine surface (detect_words -> find_text_lines ->
-    recognize_text) with word/line rotated-rect vertices serialized as
-    a deterministic JSON column, mirroring the reference's JSON output
-    (/root/reference/ocrs-cli/src/output.rs:29-101).
-    """
-
-    def __init__(self, media_store: Any, engine_factory: Callable = make_engine):
-        if isinstance(media_store, ray.ObjectRef):
-            self.media = ray.get(media_store)
-        elif isinstance(media_store, str):
-            self.media = load_media_store(media_store)
-        else:
-            self.media = media_store
-        self.engine = engine_factory()
-        self.cache: dict[str, str] = {}
-
-    def _layout_one(self, ref: str) -> str:
-        import json
-
-        if ref in self.cache:
-            return self.cache[ref]
-        payload = self.media.get(ref)
-        if payload is None:
-            raise KeyError(f"unresolved media_ref: {ref}")
-        img = decode_media(payload)
-        inp = self.engine.prepare_input(img, order="hwc")
-        words = self.engine.detect_words(inp)
-        lines = self.engine.find_text_lines(inp, words)
-        text_lines = self.engine.recognize_text(inp, lines)
-        from .output import ocr_json
-
-        doc = ocr_json(ref, (img.shape[0], img.shape[1]), text_lines)
-        out = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        self.cache[ref] = out
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
+        flat = explode_spans(batch)
+        media = flat.filter(pc.equal(flat["kind"], "media"))
+        refs = media["media_ref"]
+        out = self.ocr_media(refs.to_pylist(), media["doc_id"].to_pylist())
         return pa.table(
             {
-                "doc_id": batch.column("doc_id"),
-                "offset": batch.column("offset"),
-                "media_ref": batch.column("media_ref"),
-                "layout_json": pa.array(
-                    [self._layout_one(r) for r in refs], type=pa.string()
-                ),
+                "doc_id": media["doc_id"],
+                "offset": media["offset"],
+                "media_ref": refs,
+                "layout_json": pa.array(out, type=pa.string()),
             }
         )
 
 
 class OcrInlineProcessor(_MediaOcr):
-    """OCR media-span rows whose payload arrived inline via a shuffle
-    join (columns image/height/width/channels/format joined onto the
+    """OCR media-span rows whose payload arrived inline via the media_ref
+    cogroup (columns image/height/width/channels/format attached to the
     span rows). The large-media-table counterpart of OcrSpanProcessor:
     no broadcast store; decode, quarantine and metrics are shared. The
     joined media table has no identity a worker can check, so the memo
     cache lives for one build; the engine still carries over."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = [
-            batch.column(c).to_pylist()
-            for c in ("image", "height", "width", "channels", "format")
-        ]
-        # A null image is a left-outer join miss: the media table has
-        # no row for this ref, the same as a broadcast-store miss.
+        cols = [batch.column(c).to_pylist() for c in _PAYLOAD]
+        # A null image is an unresolved ref: the media table has no row
+        # for it, the same as a broadcast-store miss.
         payloads = (None if p[0] is None else p for p in zip(*cols))
-        texts = self.ocr_texts(
+        texts = self.ocr_media(
             batch.column("media_ref").to_pylist(),
             batch.column("doc_id").to_pylist(),
             payloads,
@@ -642,27 +629,60 @@ def _restitch_by_doc(flat: rd.Dataset, cfg: OcrPipelineConfig) -> rd.Dataset:
     return docs
 
 
+#: Media-table columns the joined build attaches to each media span.
+_PAYLOAD = ("image", "height", "width", "channels", "format")
+#: Rows of the joined build's media_ref cogroup: a media span (payload
+#: null) or a media-table row (span columns null; its null `kind` is
+#: the tag).
+_COGROUP_SCHEMA = pa.schema(list(FLAT_SPANS_SCHEMA) + [MEDIA_SCHEMA.field(c) for c in _PAYLOAD])
+
+
+def _cogroup_rows(t: pa.Table) -> pa.Table:
+    """`t` in the cogroup schema: columns it lacks are null, the rest
+    cast to the schema's types."""
+    have = set(t.column_names)
+    cols = {
+        f.name: t[f.name] if f.name in have else pa.nulls(t.num_rows, f.type)
+        for f in _COGROUP_SCHEMA
+    }
+    return pa.table(cols, schema=_COGROUP_SCHEMA)
+
+
+def _resolve_media(block: pa.Table) -> pa.Table:
+    """One media_ref partition of the cogroup -> its media spans with
+    the payload of their ref attached. A ref the media table lacks gets
+    a null payload (left outer), which the OCR stage raises on or
+    quarantines, exactly like a broadcast-store miss."""
+    if block.num_rows == 0:
+        return _COGROUP_SCHEMA.empty_table()
+    is_span = pc.is_valid(block["kind"])
+    spans, media = block.filter(is_span), block.filter(pc.invert(is_span))
+    at = pc.index_in(spans["media_ref"], value_set=media["media_ref"].combine_chunks())
+    payload = media.select(list(_PAYLOAD)).take(at)
+    cols = spans.select(FLAT_SPANS_SCHEMA.names).columns + payload.columns
+    return pa.Table.from_arrays(cols, schema=_COGROUP_SCHEMA)
+
+
 def build_ocr_pipeline_joined(
     spans_ds: rd.Dataset,
     media_ds: rd.Dataset,
     config: OcrPipelineConfig | None = None,
     join_partitions: int = 8,
 ) -> rd.Dataset:
-    """OCR pipeline resolving media via a distributed hash join instead
-    of a broadcast store — the path for media tables that do NOT fit in
-    worker memory (SURVEY.md §2.4: `Dataset.join` on media_ref for
-    large). Text spans bypass the join entirely; only media span keys
-    and payloads shuffle. The spans input is read twice (text branch +
-    media branch) — cheaper than shipping payloads to every task when
-    the media table dominates. The join splits documents across
-    batches, so this path keeps the `doc_id` re-stitch exchange.
+    """OCR pipeline resolving media by a keyed cogroup on media_ref
+    instead of a broadcast store — the path for media tables that do
+    NOT fit in worker memory (SURVEY.md §2.4). Text spans bypass the
+    cogroup entirely; only media span rows and payloads shuffle. The
+    spans input is read twice (text branch + media branch) — cheaper
+    than shipping payloads to every task when the media table
+    dominates. The cogroup splits documents across batches, so this
+    path keeps the `doc_id` re-stitch exchange.
     """
     cfg = config or OcrPipelineConfig()
     flat = spans_ds.map_batches(
         explode_spans, fn_kwargs={"keep_spanless": True}, batch_format="pyarrow"
     )
     enable_hash_shuffle(flat)
-    enable_hash_shuffle(media_ds)
 
     # Text spans and span-less document markers (null kind) bypass OCR.
     text_rows = flat.map_batches(
@@ -670,51 +690,57 @@ def build_ocr_pipeline_joined(
         batch_format="pyarrow",
     )
     media_rows = flat.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "media")), batch_format="pyarrow"
+        lambda t: _cogroup_rows(t.filter(pc.equal(t["kind"], "media"))),
+        batch_format="pyarrow",
     )
-    # LEFT join, not inner: an unresolvable media_ref must surface as
-    # an error (or quarantined empty span) exactly like the broadcast
-    # path — an inner join would silently delete the span and break
-    # span-sequence completeness.
-    joined = media_rows.join(
-        media_ds,
-        join_type="left_outer",
-        num_partitions=join_partitions,
-        on=("media_ref",),
+    # A tagged-union cogroup, not Dataset.join: Ray's join crashes when
+    # a side is sparse (few media spans, e.g. a text-only shard). Every
+    # media span keeps its row (left outer): an unresolvable media_ref
+    # must surface as an error, or a quarantined empty span, exactly
+    # like the broadcast path, never silently drop the span.
+    tagged = media_rows.union(media_ds.map_batches(_cogroup_rows, batch_format="pyarrow"))
+    enable_hash_shuffle(tagged)
+    joined = tagged.repartition(join_partitions, keys=["media_ref"]).map_batches(
+        _resolve_media, batch_format="pyarrow", batch_size=None
     )
     ocr = _ocr_stage(joined, OcrInlineProcessor, cfg, SPAN_ROWS_PER_BATCH)
     return _restitch_by_doc(text_rows.union(ocr), cfg)
 
 
-class PixelWeigher:
-    """Annotate flat span rows with estimated pixel volume.
+def _media_pixels(media_store: Any) -> tuple[pa.Array, np.ndarray]:
+    """(media_ref, height x width) of every image in a media store (a
+    dict, an ObjectRef to one, or a parquet path), from metadata only:
+    no payload is decoded."""
+    if isinstance(media_store, str):
+        import pyarrow.parquet as pq
 
-    Media dims come from a broadcast {media_ref: pixels} dict (built
-    from the media table's typed metadata — no payload decode). At
-    100 TB the dims column rides in the spans table at ingest or joins
-    in by media_ref; the estimate only needs to be proportional, not
-    exact (SURVEY.md §4 skew row).
-    """
+        cols = pq.read_table(media_store, columns=["media_ref", "height", "width"]).to_pydict()
+        refs, h, w = cols["media_ref"], cols["height"], cols["width"]
+    else:
+        store = ray.get(media_store) if isinstance(media_store, ray.ObjectRef) else media_store
+        refs = list(store)
+        h, w = ([p[i] for p in store.values()] for i in (1, 2))
+    return pa.array(refs, type=pa.string()), np.multiply(h, w, dtype=np.int64)
 
-    def __init__(self, dims_store: Any):
-        store = (
-            ray.get(dims_store)
-            if isinstance(dims_store, ray.ObjectRef)
-            else dims_store
-        )
-        # Accept either a ready {ref: pixels} dict or a full media
-        # store (payload tuples) — derive dims without decoding.
-        first = next(iter(store.values()), None)
-        self.dims = media_dims(store) if isinstance(first, tuple) else store
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch.column("kind").to_pylist()
-        refs = batch.column("media_ref").to_pylist()
-        px = [
-            self.dims.get(r, 0) if k == "media" else 0
-            for k, r in zip(kinds, refs)
-        ]
-        return batch.append_column("pixels", pa.array(px, type=pa.int64()))
+def weigh_documents(batch: pa.Table, refs: pa.Array, pixels: np.ndarray) -> pa.Table:
+    """Append each document's estimated pixel volume as `pixels`: the
+    summed pixels of its media spans, `pixels[i]` for a span of
+    `refs[i]` (see `_media_pixels`). Text spans and refs the store
+    lacks weigh 0, as does a document without spans. Vectorized: the
+    proportional estimate needs no payload (SURVEY.md §4 skew row)."""
+    col = batch.column("spans")
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = pc.list_flatten(col)
+    at = pc.index_in(flat.field("media_ref"), value_set=refs)
+    media = pc.fill_null(pc.and_(pc.equal(flat.field("kind"), "media"), pc.is_valid(at)), False)
+    media = media.to_numpy(zero_copy_only=False)
+    px = np.zeros(len(flat), dtype=np.int64)
+    px[media] = pixels[pc.fill_null(at, 0).to_numpy()[media]]
+    parent = pc.list_parent_indices(col).to_numpy()
+    weights = np.bincount(parent, weights=px, minlength=batch.num_rows)
+    return batch.append_column("pixels", pa.array(weights.astype(np.int64)))
 
 
 def assign_weighted_partitions(
@@ -737,12 +763,6 @@ def assign_weighted_partitions(
         assignment[i] = b
         heapq.heappush(bins, (total + int(w[i]), b))
     return batch.append_column("wpart", pa.array(assignment, type=pa.int32()))
-
-
-def media_dims(media_store: dict) -> dict[str, int]:
-    """{media_ref: pixel count} from a loaded media store (metadata
-    only, payload untouched)."""
-    return {ref: p[1] * p[2] for ref, p in media_store.items()}
 
 
 def reassemble_block(batch: pa.Table) -> pa.Table:
@@ -849,11 +869,39 @@ def enable_hash_shuffle(ds: rd.Dataset | None = None) -> bool:
         return False
 
 
+def _document_ocr(
+    spans_ds: rd.Dataset,
+    processor: type[_MediaOcr],
+    media_store: Any,
+    config: OcrPipelineConfig | None,
+) -> rd.Dataset:
+    """Whole documents through the OCR stage of `processor`, first
+    LPT-binned by pixel volume when `balance_partitions > 0`."""
+    cfg = config or OcrPipelineConfig()
+    n = cfg.balance_partitions
+    if n > 0:
+        refs, pixels = _media_pixels(media_store)
+        spans_ds = spans_ds.map_batches(
+            weigh_documents, fn_kwargs={"refs": refs, "pixels": pixels}, batch_format="pyarrow"
+        ).map_batches(
+            assign_weighted_partitions, fn_kwargs={"num_partitions": n}, batch_format="pyarrow"
+        )
+        enable_hash_shuffle(spans_ds)
+        # The OCR processors read doc_id and spans only, so the bin
+        # columns (pixels, wpart) end at the OCR stage.
+        spans_ds = spans_ds.repartition(n, keys=["wpart"])
+    if isinstance(media_store, dict):
+        media_store = ray.put(media_store)
+    out = _ocr_stage(spans_ds, processor, cfg, DOCS_PER_BATCH, media_store)
+    if n > 0:
+        enable_hash_shuffle(out)  # the plan runs under the final context
+    return out
+
+
 def build_ocr_pipeline(
     spans_ds: rd.Dataset,
     media_store: Any,
     config: OcrPipelineConfig | None = None,
-    reassemble: bool = True,
 ) -> rd.Dataset:
     """Compose the full OCR pipeline lazily (nothing executes here).
 
@@ -863,42 +911,21 @@ def build_ocr_pipeline(
     A store is loaded once per worker process and reused by later jobs
     given the same ObjectRef or path.
 
-    By default the OCR tasks take whole documents and re-stitch them
-    in place (no exchange). With `balance_partitions > 0` span rows are
-    balanced across partitions before OCR and re-stitched by a `doc_id`
-    exchange. `reassemble=False` explodes the finished documents to one
-    row per span (debug tap).
+    The OCR tasks take whole documents and re-stitch them in place (no
+    re-stitch exchange). With `balance_partitions > 0` the documents
+    are first spread across partitions by pixel volume. For one row
+    per span, append `map_batches(explode_spans)`.
     """
-    cfg = config or OcrPipelineConfig()
-    if isinstance(media_store, dict):
-        media_store = ray.put(media_store)
-    if cfg.balance_partitions > 0:
-        flat = spans_ds.map_batches(
-            explode_spans, fn_kwargs={"keep_spanless": True}, batch_format="pyarrow"
-        )
-        enable_hash_shuffle(flat)
-        flat = (
-            flat.map_batches(
-                PixelWeigher,
-                fn_constructor_args=(media_store,),
-                batch_format="pyarrow",
-                concurrency=(1, 2),
-            )
-            .map_batches(
-                assign_weighted_partitions,
-                fn_kwargs={"num_partitions": cfg.balance_partitions},
-                batch_format="pyarrow",
-            )
-            .repartition(cfg.balance_partitions, keys=["wpart"])
-            .map_batches(
-                lambda t: t.drop_columns(["pixels", "wpart"]),
-                batch_format="pyarrow",
-            )
-        )
-        ocr = _ocr_stage(flat, OcrSpanProcessor, cfg, SPAN_ROWS_PER_BATCH, media_store)
-        docs = _restitch_by_doc(ocr, cfg)
-    else:
-        docs = _ocr_stage(spans_ds, OcrSpanProcessor, cfg, DOCS_PER_BATCH, media_store)
-    if reassemble:
-        return docs
-    return docs.map_batches(explode_spans, batch_format="pyarrow")
+    return _document_ocr(spans_ds, OcrSpanProcessor, media_store, config)
+
+
+def build_layout_pipeline(
+    spans_ds: rd.Dataset,
+    media_store: Any,
+    config: OcrPipelineConfig | None = None,
+) -> rd.Dataset:
+    """Layout JSON per media span, (doc_id, offset, media_ref,
+    layout_json), lazily: the same task stage, media store, options
+    and balancing as `build_ocr_pipeline`, with `OcrLayoutProcessor`
+    as the processor."""
+    return _document_ocr(spans_ds, OcrLayoutProcessor, media_store, config)

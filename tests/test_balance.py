@@ -27,21 +27,58 @@ def test_lpt_binning_balances_skewed_weights():
     assert set(parts) == {0, 1, 2, 3}
 
 
-def test_pixel_weigher_annotates_media_only():
-    from ocrs_ray.pipeline import PixelWeigher
+def _span(kind: str, ref: str, offset: int) -> dict:
+    return {"kind": kind, "text": "", "media_ref": ref, "offset": offset}
 
-    batch = pa.table(
+
+def _weigh(docs: list[dict], store: dict, offset: int = 0) -> pa.Table:
+    """`weigh_documents` over `docs[offset:]`, as a slice of one table."""
+    from ocrs_ray.pipeline import _media_pixels, weigh_documents
+    from ocrs_ray.schema import SPANS_SCHEMA
+
+    table = pa.Table.from_pylist(docs, schema=SPANS_SCHEMA).slice(offset)
+    return weigh_documents(table, *_media_pixels(store))
+
+
+def test_document_weigher_sums_media_pixels_per_document():
+    """A document weighs the summed pixels of its media spans: text
+    spans (even naming a stored ref) and refs the store lacks weigh 0,
+    and so do documents with an empty or null spans list."""
+    store = {"m1": (b"", 100, 200, 1, "raw8-hwc"), "m2": (b"", 10, 10, 3, "raw8-hwc")}
+    docs = [
         {
-            "doc_id": ["d1", "d1"],
-            "offset": pa.array([0, 1], type=pa.int32()),
-            "kind": ["text", "media"],
-            "text": ["hello", ""],
-            "media_ref": ["", "m1"],
-        }
-    )
-    weigher = PixelWeigher({"m1": (b"", 100, 200, 1, "raw8-hwc")})
-    out = weigher(batch)
-    assert out.column("pixels").to_pylist() == [0, 20000]
+            "doc_id": "d1",
+            "spans": [_span("text", "", 0), _span("media", "m1", 1), _span("media", "m2", 2)],
+        },
+        {"doc_id": "d2", "spans": [_span("media", "gone", 0), _span("media", "m1", 1)]},
+        {"doc_id": "d3", "spans": []},
+        {"doc_id": "d4", "spans": None},
+        {"doc_id": "d5", "spans": [_span("text", "m1", 0)]},
+        {"doc_id": "d6", "spans": [_span("media", "gone", 0)]},
+    ]
+    out = _weigh(docs, store)
+    assert out.column("pixels").to_pylist() == [20100, 20000, 0, 0, 0, 0]
+    assert out.column("doc_id").to_pylist() == [d["doc_id"] for d in docs]
+    # A block that is a slice of a larger table weighs the same.
+    assert _weigh(docs, store, offset=1).column("pixels").to_pylist() == [20000, 0, 0, 0, 0]
+
+
+def test_whale_documents_at_block_head_land_in_distinct_bins():
+    """Whale documents clustered at the head of a block (the hot-batch
+    shape of tools/whale_skew_proof.py) are spread one per bin."""
+    from ocrs_ray.pipeline import assign_weighted_partitions
+
+    store = {"whale": (b"", 3000, 4000, 1, "raw8-hwc"), "tile": (b"", 64, 64, 1, "raw8-hwc")}
+    whales = [{"doc_id": f"w{i}", "spans": [_span("media", "whale", 0)]} for i in range(4)]
+    tiles = [
+        {"doc_id": f"t{i:03d}", "spans": [_span("media", "tile", o) for o in range(4)]}
+        for i in range(200)
+    ]
+    out = assign_weighted_partitions(_weigh(whales + tiles, store), 4)
+    parts = out.column("wpart").to_pylist()
+    assert sorted(parts[:4]) == [0, 1, 2, 3]
+    totals = np.bincount(parts, weights=out.column("pixels").to_numpy(), minlength=4)
+    assert totals.max() / totals.mean() < 1.01
 
 
 def test_pipeline_equality_with_balancing(ray_session, tmp_path):

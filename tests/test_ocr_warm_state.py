@@ -13,8 +13,10 @@ import pytest
 
 from ocrs_ray.corpus import ensure_corpus, make_engine
 from ocrs_ray.pipeline import (
+    OcrLayoutProcessor,
     OcrPipelineConfig,
     OcrSpanProcessor,
+    build_layout_pipeline,
     build_ocr_pipeline,
     build_ocr_pipeline_joined,
     load_media_store,
@@ -117,6 +119,38 @@ def test_warm_slot_reused_by_later_builds_and_replaced_on_key_change(
     assert ray.get(engine_builds.snapshot.remote()) == {str(os.getpid()): 1}
 
 
+def test_text_and_layout_calls_share_state_not_memo(ray_session, corpus, monkeypatch):
+    """A text call and a layout call on one store in one process share
+    the warm state, memo cache on, yet each gets its own output: text
+    equal to the goldens, layout JSON equal to the layout goldens, in
+    either order."""
+    import ray
+
+    from ocrs_ray import pipeline
+
+    monkeypatch.setattr(pipeline, "_WARM", None)
+    batch = pq.read_table(corpus["spans"]).slice(0, 8)
+    docs = set(batch.column("doc_id").to_pylist())
+    ref = ray.put(load_media_store(corpus["media"]))
+    layout_of = pq.read_table(corpus["expected_layout"]).to_pandas()
+    want_layout = layout_of[layout_of["doc_id"].isin(docs)].sort_values(["doc_id", "offset"])
+    want_text = {d: v for d, v in _expected(corpus).items() if d in docs}
+
+    def text():
+        out = OcrSpanProcessor(ref)(batch).to_pylist()
+        return {r["doc_id"]: [(s["kind"], s["text"]) for s in r["spans"]] for r in out}
+
+    def layout():
+        out = OcrLayoutProcessor(ref)(batch).to_pandas().sort_values(["doc_id", "offset"])
+        return out["layout_json"].tolist()
+
+    assert text() == want_text
+    state = pipeline._WARM[1]
+    assert layout() == want_layout["layout_json"].tolist()
+    assert text() == want_text and layout() == want_layout["layout_json"].tolist()
+    assert pipeline._WARM[1] is state and len(want_layout) > 0
+
+
 def test_engine_built_once_per_worker_across_jobs(engine_builds, corpus):
     """Two consecutive jobs over one broadcast store construct the
     engine at most once in each worker process."""
@@ -180,7 +214,7 @@ def test_media_spans_counted_after_metrics_actor_recreated(ray_session, corpus):
         _wait_until_unnamed(name)
 
 
-@pytest.mark.parametrize("path", ("default", "balanced", "joined"))
+@pytest.mark.parametrize("path", ("default", "balanced", "joined", "layout"))
 def test_ocr_stage_runs_as_named_task_stage(ray_session, corpus, path):
     """Every build runs the OCR operator on the task pool (a callable
     instance, not an actor class) under its MapBatches(<processor>)
@@ -201,6 +235,9 @@ def test_ocr_stage_runs_as_named_task_stage(ray_session, corpus, path):
         )
         ds = build_ocr_pipeline_joined(spans, media, cfg, join_partitions=2)
         name = "MapBatches(OcrInlineProcessor)"
+    elif path == "layout":
+        ds = build_layout_pipeline(spans, load_media_store(corpus["media"]), cfg)
+        name = "MapBatches(OcrLayoutProcessor)"
     else:
         ds = build_ocr_pipeline(spans, load_media_store(corpus["media"]), cfg)
         name = "MapBatches(OcrSpanProcessor)"
@@ -216,4 +253,10 @@ def test_ocr_stage_runs_as_named_task_stage(ray_session, corpus, path):
     assert ocr_ops[0]._compute.size == 2
     out = ds.materialize()
     assert f" {name}" in out.stats()
-    assert _got(out) == _expected(corpus)
+    if path == "layout":
+        key = ["doc_id", "offset"]
+        got = out.to_pandas().sort_values(key)
+        want = pq.read_table(corpus["expected_layout"]).to_pandas().sort_values(key)
+        assert got["layout_json"].tolist() == want["layout_json"].tolist()
+    else:
+        assert _got(out) == _expected(corpus)

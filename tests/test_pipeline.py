@@ -89,23 +89,6 @@ def test_pipeline_passthrough_docs(ray_session, corpus):
         assert [dict(s) for s in got] == in_spans
 
 
-def test_pipeline_no_reassemble_flat_output(ray_session, corpus):
-    """reassemble=False yields the flat span rows (debug tap)."""
-    ds = read_spans(corpus["spans"])
-    media = load_media_store(corpus["media"])
-    flat = build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=2), reassemble=False
-    )
-    df = flat.to_pandas().sort_values(["doc_id", "offset"]).reset_index(drop=True)
-    exp = (
-        pq.read_table(corpus["expected_flat"])
-        .to_pandas()
-        .sort_values(["doc_id", "offset"])
-        .reset_index(drop=True)
-    )
-    assert list(df["text"]) == list(exp["text"])
-
-
 def test_joined_pipeline_matches_broadcast(ray_session):
     """The shuffle-join media path (large-media-table mode) produces
     byte-identical span sequences to the broadcast path."""
@@ -271,8 +254,8 @@ OCR_PATHS = ("default", "balanced", "joined")
 
 def _build_path(path, spans_ds, corpus):
     """One of the three OCR pipeline builds over `spans_ds`: the
-    document-granular default, pixel-balanced span rows, and the media
-    hash join."""
+    document-granular default, pixel-balanced documents, and the media
+    cogroup."""
     import ray.data as rd
 
     cfg = OcrPipelineConfig(
@@ -326,19 +309,54 @@ def test_spanless_docs_survive_every_path(ray_session, corpus, spanless_input, p
 
 @pytest.mark.parametrize("path", OCR_PATHS)
 def test_only_span_row_paths_exchange_on_doc_id(ray_session, corpus, spanless_input, path):
-    """The default build re-stitches inside the OCR task: its executed
-    plan holds no shuffle or repartition. The balanced and joined
-    builds feed span rows, so they keep the keyed doc_id exchange.
-    Span-less documents add no read: the spans table is read once,
-    twice on the joined path (text and media branches) plus the media
-    table."""
+    """The default and balanced builds re-stitch inside the OCR task:
+    the default plan holds no shuffle or repartition, the balanced one
+    only its exchange on the bin id. The joined build feeds span rows,
+    so it alone keeps the keyed doc_id exchange. Span-less documents
+    add no read: the spans table is read once, twice on the joined
+    path (text and media branches) plus the media table."""
     import re
 
     out = _build_path(path, read_spans(spanless_input[0]), corpus).materialize()
     stats = out.stats()
     if path == "default":
         assert "Shuffle" not in stats and "Repartition" not in stats
+    elif path == "balanced":
+        assert "key_columns=('wpart',)" in stats
+        assert "key_columns=('doc_id',)" not in stats
     else:
         assert "key_columns=('doc_id',)" in stats
     reads = re.findall(r"^Operator \d+ ReadParquet", stats, re.M)
     assert len(reads) == (3 if path == "joined" else 1), stats
+
+
+@pytest.fixture(scope="module")
+def sparse_media_inputs(corpus, tmp_path_factory):
+    """Spans tables whose media side is sparse: one text-only corpus
+    document, and the first 3 corpus documents (2 distinct refs)."""
+    docs = pq.read_table(corpus["spans"])
+    rows = docs.to_pylist()
+    text_only = next(i for i, d in enumerate(rows) if all(s["kind"] == "text" for s in d["spans"]))
+    root = tmp_path_factory.mktemp("sparse_media")
+    paths = {}
+    for name, table in (("text_only", docs.slice(text_only, 1)), ("first3", docs.slice(0, 3))):
+        paths[name] = str(root / f"{name}.parquet")
+        pq.write_table(table, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("case", ("text_only", "first3"))
+def test_joined_path_survives_sparse_media_side(ray_session, corpus, sparse_media_inputs, case):
+    """A shard with few or no media spans is normal input for the
+    joined build; Ray's native Dataset.join crashed on it ("No match
+    or multiple matches for key field reference") at 2 partitions."""
+    spans_path = sparse_media_inputs[case]
+    docs = pq.read_table(spans_path).column("doc_id").to_pylist()
+    out = _build_path("joined", read_spans(spans_path), corpus)
+    got = {r["doc_id"]: r["spans"] for r in arrow_rows(out)}
+    exp = pq.read_table(corpus["expected_flat"]).to_pandas()
+    want = {
+        d: g.sort_values("offset")[["kind", "text", "media_ref", "offset"]].to_dict("records")
+        for d, g in exp[exp["doc_id"].isin(docs)].groupby("doc_id")
+    }
+    assert got == want and len(got) == len(docs)

@@ -141,6 +141,31 @@ def test_quarantine_same_on_broadcast_and_joined(corpus):
     assert counts["joined"] == counts["broadcast"] == poisoned > 0
 
 
+def test_layout_quarantine_matches_text_paths(corpus):
+    """A poison media span on the layout build: "raise" aborts, and
+    "quarantine" gives it layout_json "" and one poison_rows count per
+    span, like the text paths; every other media span keeps its JSON."""
+    import ray
+
+    from ocrs_ray.pipeline import OcrPipelineConfig, build_layout_pipeline, read_spans
+    from ocrs_ray.state.metrics import MetricsActor
+
+    store, victim = _broken_store(corpus)
+    with pytest.raises(Exception):
+        build_layout_pipeline(
+            read_spans(corpus["spans"]), store, OcrPipelineConfig(ocr_concurrency=(1, 2))
+        ).count()
+    name = "poison_layout_metrics"
+    metrics = MetricsActor.options(name=name, get_if_exists=True).remote()
+    ray.get(metrics.reset.remote())
+    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), on_error="quarantine", metrics_name=name)
+    rows = arrow_rows(build_layout_pipeline(read_spans(corpus["spans"]), store, cfg))
+    poisoned = [r["layout_json"] for r in rows if r["media_ref"] == victim]
+    assert poisoned and set(poisoned) == {""}
+    assert all(r["layout_json"] for r in rows if r["media_ref"] != victim)
+    assert _poison_rows(metrics, len(poisoned)) == len(poisoned)
+
+
 def test_invalid_on_error_rejected():
     from ocrs_ray.pipeline import OcrSpanProcessor
 

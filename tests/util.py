@@ -59,7 +59,9 @@ def arrow_rows(ds) -> list[dict]:
     """Every row of a Ray dataset as a dict, read through its Arrow
     blocks so list and null values stay exact. Materializes once (a
     bare `to_arrow_refs` re-executes the plan to fetch the schema) and
-    skips the zero-column blocks that empty exchange partitions yield."""
+    skips the zero-column blocks that empty partitions of
+    `build_ocr_pipeline_joined`'s `doc_id` exchange yield (the other
+    OCR builds yield none)."""
     import pyarrow as pa
     import ray
 

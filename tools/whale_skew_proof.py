@@ -4,8 +4,10 @@ LPT balancing): find the tail weight where the knob starts mattering.
 The r01 experiment (BASELINE.md) showed NO effect at 24x pixel skew —
 the actor pool's pull-based batch scheduling absorbs moderate tails.
 The knob's real failure mode is a hot BATCH: several whale images
-landing consecutively in the input (same read block -> same 64-span
-OCR batch) serialize behind ONE actor while the pool idles. This tool
+landing consecutively in the input (same read block -> same
+16-document OCR batch) serialize behind ONE task while the others
+idle. Each whale is its own one-span document, so the document
+weigher sees exactly the per-whale weights. This tool
 synthesizes exactly that: `n_whales` whale templates (each referenced
 once, all clustered at the head of shard 0) over a sea of 64x64 tiles,
 and times the pipeline with balancing off vs on, back to back in the
