@@ -51,7 +51,7 @@ def _ocr_config(**kw):
     from ocrs_ray.pipeline import OcrPipelineConfig, cluster_ncpu
 
     w = max(1, min(cluster_ncpu(default=4) - 2, 4))
-    return OcrPipelineConfig(ocr_concurrency=w, reassemble_partitions=8, **kw)
+    return OcrPipelineConfig(ocr_concurrency=w, **kw)
 
 
 def _ocr_docs(sf_dir: str):
@@ -227,25 +227,23 @@ def _ocr_layout(sf_dir: str):
 
 
 def _ocr_joined_flat(sf_dir: str):
-    """Flagship pipeline via the shuffle-join media path (large media
-    tables), flattened — same oracle as the broadcast path."""
+    """Flagship pipeline with the media table held by reference (the
+    large-media-table store: a media Dataset, not a broadcast dict),
+    flattened — same oracle as the broadcast path."""
     import ray.data as rd
 
     from ocrs_ray.pipeline import (
+        MEDIA_COLUMNS,
         OcrPipelineConfig,
-        build_ocr_pipeline_joined,
+        build_ocr_pipeline,
         explode_spans,
         read_spans_lance as read_spans,
     )
 
     paths = _corpus_for(sf_dir)
-    spans = read_spans(paths["spans"])
-    media = rd.read_parquet(
-        paths["media"],
-        columns=["media_ref", "image", "height", "width", "channels", "format"],
-    )
-    docs = build_ocr_pipeline_joined(
-        spans, media, OcrPipelineConfig(ocr_concurrency=(1, 4), reassemble_partitions=8)
+    media = rd.read_parquet(paths["media"], columns=MEDIA_COLUMNS)
+    docs = build_ocr_pipeline(
+        read_spans(paths["spans"]), media, OcrPipelineConfig(ocr_concurrency=(1, 4))
     )
     return docs.map_batches(explode_spans, batch_format="pyarrow")
 

@@ -71,8 +71,8 @@ def _init_ray(num_cpus: int) -> None:
 def run_headline(
     num_cpus: int, n_docs: int, corpus_root: str, pool_fraction: float = 0.75
 ) -> dict:
-    """Run the OCR pipeline end-to-end (read -> explode -> OCR actor
-    pool -> hash-shuffle reassembly -> parquet sink); return metrics."""
+    """Run the OCR pipeline end-to-end (read -> OCR task stage over
+    whole documents -> parquet sink); return metrics."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -108,11 +108,7 @@ def run_headline(
     # runs use the same fraction at both CPU counts so the pair
     # measures engine scaling, not pool-sizing differences.
     w = max(2, min(num_cpus - 2, int(num_cpus * pool_fraction)))
-    cfg = OcrPipelineConfig(
-        ocr_concurrency=(w, w),
-        reassemble_partitions=max(8, num_cpus),
-        cache_media=False,
-    )
+    cfg = OcrPipelineConfig(ocr_concurrency=(w, w), cache_media=False)
     out = build_ocr_pipeline(ds, media, cfg)
     out.write_parquet(out_dir)
     wall = time.time() - t0
@@ -192,11 +188,7 @@ def run_checkpoint(num_cpus: int, n_docs: int = 8000) -> dict:
     shutil.rmtree(out_root, ignore_errors=True)
     _init_ray(num_cpus)
     w = max(2, min(num_cpus - 2, int(num_cpus * 0.75)))
-    cfg = OcrPipelineConfig(
-        ocr_concurrency=(w, w),
-        reassemble_partitions=max(8, num_cpus),
-        cache_media=False,
-    )
+    cfg = OcrPipelineConfig(ocr_concurrency=(w, w), cache_media=False)
     t0 = time.time()
     result = run_ocr_job(
         paths["spans"], paths["media"], out_root, config=cfg, num_shards=8

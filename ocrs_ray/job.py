@@ -92,10 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         # NOT 2: at ncpu <= 3 a second actor is itself the deadlock
         # (nothing left for the read task).
         ncpu = cluster_ncpu(default=4)
-        cfg = OcrPipelineConfig(
-            ocr_concurrency=max(1, min(ncpu - 2, int(ncpu * 0.75))),
-            reassemble_partitions=max(4, min(2 * ncpu, 64)),
-        )
+        cfg = OcrPipelineConfig(ocr_concurrency=max(1, min(ncpu - 2, int(ncpu * 0.75))))
         t0 = time.time()
         result = run_ocr_job(
             args.spans,

@@ -1,6 +1,6 @@
 """The flagship Ray Data pipeline: interleaved spans -> OCR -> reassembly.
 
-Lifecycle of every broadcast-store build, SURVEY.md §3.4:
+Lifecycle of every OCR build, SURVEY.md §3.4:
 
     read spans table                           # one row per document
       -> map_batches(OcrSpanProcessor(...))    # task stage over whole
@@ -9,16 +9,11 @@ Lifecycle of every broadcast-store build, SURVEY.md §3.4:
              text spans through and re-stitches with reassemble_block
       -> write_parquet / return
 
-A batch holds whole documents, so the re-stitch needs no exchange.
-`balance_partitions > 0` LPT-bins the documents by media pixel volume
-in front of the stage; `build_layout_pipeline` runs the same stage with
-`OcrLayoutProcessor` (layout JSON per media span). Only
-`build_ocr_pipeline_joined` (media resolved by a cogroup on media_ref)
-splits documents into span rows, and so keeps the re-stitch exchange:
-
-    read spans table -> map_batches(explode_spans)
-      -> media spans: cogroup on media_ref -> OCR task stage
-      -> repartition(keys=["doc_id"]) -> map_batches(reassemble_block)
+A batch holds whole documents, so the re-stitch needs no exchange, and
+no build splits documents into span rows. `balance_partitions > 0`
+LPT-bins the documents by media pixel volume in front of the stage
+(its one exchange is on the bin id); `build_layout_pipeline` runs the
+same stage with `OcrLayoutProcessor` (layout JSON per media span).
 
 The OCR stage is a callable processor instance, so Ray Data runs it as
 tasks on Ray's reused worker processes rather than on an actor pool
@@ -33,10 +28,13 @@ media_ref, order) against the per-image engine's golden outputs, and a
 document whose `spans` list is empty or null comes out unchanged.
 
 Scale notes:
-- media payloads are resolved from a broadcast store (`ray.put` once,
-  `ray.get` once per worker process) when the media table is small; a
-  keyed cogroup on media_ref covers large media tables
-  (`build_ocr_pipeline_joined`).
+- media payloads come from one of two stores. A dict of payloads is
+  broadcast (`ray.put` once, `ray.get` once per worker process): the
+  form for media tables that fit in every worker. A media table too
+  large for that is held by reference (`MediaTable`): its blocks sit
+  in the object store once, each worker holds only a ref -> (block,
+  row) index, and a task fetches just the blocks its batch cites, so
+  no payload is shuffled or copied per citing span.
 - reassembly is fully vectorized (no per-doc Python calls).
 - ordering never relies on block arrival order: every span carries
   (doc_id, offset), mirroring the reference's re-sort by line index
@@ -45,8 +43,6 @@ Scale notes:
 
 from __future__ import annotations
 
-import os
-import uuid
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -59,7 +55,6 @@ import ray.data as rd
 
 from .corpus import make_engine
 from .schema import (
-    FLAT_SPANS_SCHEMA,
     MEDIA_SCHEMA,
     SPAN_STRUCT,
     SPANS_SCHEMA,
@@ -76,42 +71,31 @@ __all__ = [
     "read_spans_lance",
     "write_spans",
     "build_ocr_pipeline",
-    "build_ocr_pipeline_joined",
     "build_layout_pipeline",
-    "OcrInlineProcessor",
+    "MediaTable",
     "load_media_store",
 ]
 
 
-#: Default OCR batch of every document-batch build (default, balanced,
-#: layout), in documents. Images are decoded one at a time, so the
-#: batch mostly sets the OCR stage's TASK
-#: granularity: batches per stage must comfortably exceed its
-#: concurrency or stragglers bound the stage. 16 documents (~72 spans
-#: at the benchmark's 4.5 spans per document) keeps the granularity of the
-#: measured span-row setting below. perfbench `ocr_unique` (160-doc
-#: jobs, 2 OCR actors, 6 logical CPUs on a 1-CPU host; measured before
-#: the stage moved to tasks), seeds 21-23 each,
-#: at 16 / 32 / 64 documents gave median cpu_s_per_op 5.85 / 5.55 /
-#: 5.69 s (inside run-to-run noise), op_s.p50 2.83 / 3.11 / 3.11 s and
-#: peak RSS 2222 / 2124 / 2010 MB. Large pools are unmeasured at this
-#: granularity.
+#: Default OCR batch, in documents. Images are decoded one at a time,
+#: so the batch mostly sets the OCR stage's TASK granularity: batches
+#: per stage must comfortably exceed its concurrency or stragglers
+#: bound the stage. 16 documents is ~72 spans at the benchmark's 4.5
+#: spans per document. perfbench `ocr_unique` (160-doc jobs, 2 OCR
+#: actors, 6 logical CPUs on a 1-CPU host; measured before the stage
+#: moved to tasks), seeds 21-23 each, at 16 / 32 / 64 documents gave
+#: median cpu_s_per_op 5.85 / 5.55 / 5.69 s (inside run-to-run noise),
+#: op_s.p50 2.83 / 3.11 / 3.11 s and peak RSS 2222 / 2124 / 2010 MB.
+#: Large pools are unmeasured at this granularity.
 DOCS_PER_BATCH = 16
-#: Default OCR batch on the joined path, the one build whose OCR stage
-#: takes span rows. Measured at 8k docs / 24 actors: 256 -> 22 tasks,
-#: 8.8-9.2 s; 64 -> 64 tasks, 6.5-7.7 s in alternating same-session
-#: runs; 16 is past the knee (per-task overhead wins).
-SPAN_ROWS_PER_BATCH = 64
 
 
 @dataclass
 class OcrPipelineConfig:
     """Tuning knobs for the OCR pipeline stages."""
 
-    #: rows per batch into the OCR stage, counted in the rows of
-    #: the stage's input: DOCUMENTS on the default, balanced and layout
-    #: builds, span rows on the joined path. None picks the measured
-    #: default of each: DOCS_PER_BATCH or SPAN_ROWS_PER_BATCH.
+    #: documents per batch into the OCR stage; None picks the measured
+    #: default, DOCS_PER_BATCH.
     ocr_batch_size: int | None = None
     #: most OCR tasks running at once: an int, or a (min, max) tuple
     #: whose max is the cap. A task holds its CPUs only while it runs
@@ -127,10 +111,10 @@ class OcrPipelineConfig:
     #: the SAME pipeline onto GPU workers, which then stay warm like
     #: CPU ones (fractional values pack several tasks per device).
     ocr_num_gpus: float = 0.0
-    #: number of hash partitions for the `doc_id` re-stitch exchange of
-    #: the joined path; the document-batch builds have no such exchange.
-    #: Scale to ~2-4x total cores; at cluster scale, to total cores
-    #: across nodes.
+    #: no effect: no build has a `doc_id` re-stitch exchange any more.
+    #: Kept only because the benchmark's `ocr_unique` workload
+    #: (perfbench/workloads.py) still passes it; delete it together
+    #: with that argument.
     reassemble_partitions: int = 16
     #: memoize per-media_ref OCR results in each worker process (exact
     #: dedup of repeated media fetches; templates repeat in the corpus).
@@ -291,14 +275,65 @@ def explode_spans(batch: pa.Table, keep_spanless: bool = False) -> pa.Table:
     )
 
 
+#: Media-table columns of a payload: the ref, then `decode_media`'s tuple.
+MEDIA_COLUMNS = ["media_ref", "image", "height", "width", "channels", "format"]
+
+
 def load_media_store(media_path: str) -> dict[str, tuple[bytes, int, int, int, str]]:
     """Load the media sidecar table into a payload dict."""
     import pyarrow.parquet as pq
 
-    cols = ["media_ref", "image", "height", "width", "channels", "format"]
-    t = pq.read_table(media_path, columns=cols)
-    refs, *payload = (t.column(c).to_pylist() for c in cols)
+    t = pq.read_table(media_path, columns=MEDIA_COLUMNS)
+    refs, *payload = (t.column(c).to_pylist() for c in MEDIA_COLUMNS)
     return dict(zip(refs, zip(*payload)))
+
+
+@ray.remote(num_cpus=0)
+def _index_block(block: pa.Table) -> pa.Table:
+    """(media_ref, height, width) of one media block: metadata only, so
+    no payload leaves the object store. Zero-CPU, like the other
+    metadata probes, so it never waits behind a busy stage."""
+    return block.select(["media_ref", "height", "width"])
+
+
+class MediaTable:
+    """A media table held by reference: the media store for tables too
+    large to broadcast as a dict. Built on the driver, it materializes
+    the table once, so each payload sits in the object store once, and
+    indexes every media_ref to its (block, row) and pixel count with one
+    metadata task per block. The pipeline `ray.put`s it once like a dict
+    store; a worker holds this index and fetches only the blocks its
+    batch cites (`payloads`), a zero-copy read from the local object
+    store. A worker's warm OCR state holds the index, and so keeps the
+    blocks in the object store, until a later job's store replaces it."""
+
+    def __init__(self, media: rd.Dataset | str):
+        if isinstance(media, str):
+            media = rd.read_parquet(media, columns=MEDIA_COLUMNS)
+        self.blocks = media.materialize().to_arrow_refs()
+        metas = ray.get([_index_block.remote(b) for b in self.blocks])
+        metas = metas or [MEDIA_SCHEMA.empty_table().select(["media_ref", "height", "width"])]
+        meta = pa.concat_tables(metas)
+        self.refs = meta["media_ref"].combine_chunks()
+        self.block = np.repeat(np.arange(len(metas)), [m.num_rows for m in metas])
+        self.row = np.concatenate([np.arange(m.num_rows) for m in metas])
+        self.pixels = np.multiply(
+            meta["height"].to_numpy(), meta["width"].to_numpy(), dtype=np.int64
+        )
+
+    def payloads(self, refs: list) -> list[tuple | None]:
+        """The `decode_media` payload of each ref, None for a ref the
+        table lacks (a miss, as in a dict store)."""
+        at = pc.index_in(pa.array(refs, type=pa.string()), value_set=self.refs)
+        at = pc.fill_null(at, -1).to_numpy()
+        cited = np.unique(self.block[at[at >= 0]]).tolist()
+        blocks = dict(zip(cited, ray.get([self.blocks[b] for b in cited])))
+        return [
+            None
+            if i < 0
+            else tuple(blocks[self.block[i]][c][self.row[i]].as_py() for c in MEDIA_COLUMNS[1:])
+            for i in at
+        ]
 
 
 def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
@@ -338,6 +373,11 @@ def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
     raise ValueError(f"unknown media format: {fmt}")
 
 
+#: This worker process's engine: `(factory, engine)`, or None until an
+#: OCR or sink task first runs here. Keyed on the factory alone, so a
+#: task that needs only the engine (a debug sink) reuses it and never
+#: drops the OCR state below.
+_ENGINE: tuple | None = None
 #: This worker process's OCR state: `(key, _OcrState)`, or None until an
 #: OCR task first runs here. Ray reuses task worker processes, so later
 #: tasks, of this job and of later ones, find the state built; one slot
@@ -345,13 +385,23 @@ def decode_media(payload: tuple[bytes, int, int, int, str]) -> np.ndarray:
 _WARM: tuple | None = None
 
 
+def warm_engine(factory: Callable) -> Any:
+    """This process's engine from `factory`, built on first use and
+    reused by every later task that passes the same factory."""
+    global _ENGINE
+    if _ENGINE is None or _ENGINE[0] != factory:
+        _ENGINE = None  # release the old engine before building the new one
+        _ENGINE = (factory, factory())
+    return _ENGINE[1]
+
+
 class _OcrState:
     """One process's heavy OCR state: engine, media store and memo
     cache, and the one decode -> OCR -> quarantine path of every OCR
-    processor, whether the payload comes from the store or a join and
+    processor, whether the store is a dict or a `MediaTable` and
     whether the output is text or layout JSON."""
 
-    def __init__(self, engine: Any, media: dict | None, cache_media: bool, on_error: str):
+    def __init__(self, engine: Any, media: Any, cache_media: bool, on_error: str):
         self.engine = engine
         self.media = media
         self.on_error = on_error
@@ -406,14 +456,14 @@ class _OcrState:
             )
             return ""
 
-    def ocr_media(
-        self, refs: list, docs: list, payloads, layout: bool
-    ) -> tuple[list[str], dict[str, int]]:
+    def ocr_media(self, refs: list, docs: list, layout: bool) -> tuple[list[str], dict[str, int]]:
         """OCR output of each media span (quarantined spans read "") and
-        the lineage counters of the call. `payloads` None resolves each
-        ref in the media store."""
-        if payloads is None:
-            payloads = (self.media.get(ref) for ref in refs)
+        the lineage counters of the call."""
+        media = self.media
+        if isinstance(media, MediaTable):
+            payloads = media.payloads(refs)
+        else:
+            payloads = (media.get(ref) for ref in refs)
         counts = {"media_spans": 0, "pixels": 0, "poison_rows": 0}
         out = [
             self._ocr_or_quarantine(ref, doc, payload, layout, counts)
@@ -435,7 +485,7 @@ class _MediaOcr:
 
     def __init__(
         self,
-        media_store: Any = None,
+        media_store: ray.ObjectRef,
         engine_factory: Callable = make_engine,
         cache_media: bool = True,
         metrics_name: str | None = None,
@@ -448,54 +498,32 @@ class _MediaOcr:
         self.cache_media = cache_media
         self.metrics_name = metrics_name
         self.on_error = on_error
-        # A dict store, or payloads that arrive by join, have no identity
-        # a worker can see: their state lives for the tasks of one build.
-        self._build_id = uuid.uuid4().hex
-
-    def _store_key(self) -> Any:
-        """The store's identity as every task of every build sees it:
-        the ObjectRef, or the path and its mtime (a rewritten file is a
-        new store)."""
-        s = self.media_store
-        if isinstance(s, ray.ObjectRef):
-            return s.hex()
-        if isinstance(s, str):
-            return (s, os.stat(s).st_mtime_ns)
-        return self._build_id
 
     def _state(self) -> _OcrState:
         """This process's state for these options, built on first use.
-        The key holds everything that changes the output; the engine
-        depends on the factory alone, so a new store keeps it. A factory
-        that pickles by value (a closure) is a new object in every task
-        and rebuilds the state per task: correct, only slower. Text and
-        layout processors share the state; the memo keeps them apart."""
+        The key holds everything that changes the output: the store's
+        identity (its ObjectRef, seen alike by every task of every
+        build), the engine factory and the memo and error options. The
+        engine comes from `warm_engine`, so a new store keeps it. A
+        factory that pickles by value (a closure) is a new object in
+        every task and rebuilds the state per task: correct, only
+        slower. Text and layout processors share the state; the memo
+        keeps them apart."""
         global _WARM
-        key = (self._store_key(), self.engine_factory, self.cache_media, self.on_error)
-        old = _WARM
-        if old is not None and old[0] == key:
-            return old[1]
+        key = (self.media_store.hex(), self.engine_factory, self.cache_media, self.on_error)
+        if _WARM is not None and _WARM[0] == key:
+            return _WARM[1]
         _WARM = None  # release the old store before loading the new one
-        engine = old[1].engine if old is not None and old[0][1] == self.engine_factory else None
-        del old
-        if engine is None:
-            engine = self.engine_factory()
-        s = self.media_store
-        if isinstance(s, ray.ObjectRef):
-            media = ray.get(s)
-        elif isinstance(s, str):
-            media = load_media_store(s)
-        else:
-            media = s
-        state = _OcrState(engine, media, self.cache_media, self.on_error)
+        media = ray.get(self.media_store)
+        state = _OcrState(warm_engine(self.engine_factory), media, self.cache_media, self.on_error)
         _WARM = (key, state)
         return state
 
-    def ocr_media(self, refs: list, docs: list, payloads=None) -> list[str]:
+    def ocr_media(self, refs: list, docs: list) -> list[str]:
         """OCR output of each media span (quarantined spans read ""),
         then one metrics flush for the batch. The metrics actor is
         looked up per call: it can be re-created between jobs."""
-        out, counts = self._state().ocr_media(refs, docs, payloads, self.layout)
+        out, counts = self._state().ocr_media(refs, docs, self.layout)
         if self.metrics_name is not None and any(counts.values()):
             try:
                 ray.get_actor(self.metrics_name).add.remote(counts)
@@ -510,11 +538,11 @@ class OcrSpanProcessor(_MediaOcr):
     spans passed through and its documents re-stitched in this one
     call, so no exchange is needed. Other input columns are dropped.
 
-    Built on the driver from the options and the media store (a dict,
-    an ObjectRef to one, or a parquet path); the media store and both
-    models are loaded once per worker process, by the first batch that
-    runs there, and kept for later batches and jobs (`_MediaOcr`).
-    Mirrors the stateful-stage mapping of SURVEY.md §2.3 (A1/A2).
+    Built on the driver from the options and an ObjectRef to the media
+    store (a dict or a `MediaTable`); the store and both models are
+    loaded once per worker process, by the first batch that runs there,
+    and kept for later batches and jobs (`_MediaOcr`). Mirrors the
+    stateful-stage mapping of SURVEY.md §2.3 (A1/A2).
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -535,7 +563,7 @@ class OcrLayoutProcessor(_MediaOcr):
     media_ref, layout_json) per media span. The Ray-level S6 sink
     (SURVEY.md §2.1): per media span, HierText-style layout JSON
     (`_OcrState._layout_json`) through the same store, engine, memo,
-    quarantine and metrics as the text processors."""
+    quarantine and metrics as the text processor."""
 
     layout = True
 
@@ -554,173 +582,15 @@ class OcrLayoutProcessor(_MediaOcr):
         )
 
 
-class OcrInlineProcessor(_MediaOcr):
-    """OCR media-span rows whose payload arrived inline via the media_ref
-    cogroup (columns image/height/width/channels/format attached to the
-    span rows). The large-media-table counterpart of OcrSpanProcessor:
-    no broadcast store; decode, quarantine and metrics are shared. The
-    joined media table has no identity a worker can check, so the memo
-    cache lives for one build; the engine still carries over."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = [batch.column(c).to_pylist() for c in _PAYLOAD]
-        # A null image is an unresolved ref: the media table has no row
-        # for it, the same as a broadcast-store miss.
-        payloads = (None if p[0] is None else p for p in zip(*cols))
-        texts = self.ocr_media(
-            batch.column("media_ref").to_pylist(),
-            batch.column("doc_id").to_pylist(),
-            payloads,
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "offset": batch.column("offset"),
-                "kind": batch.column("kind"),
-                "text": pa.array(texts, type=pa.string()),
-                "media_ref": batch.column("media_ref"),
-            }
-        )
-
-
-def _ocr_stage(
-    ds: rd.Dataset,
-    processor: type[_MediaOcr],
-    cfg: OcrPipelineConfig,
-    default_batch_size: int,
-    media_store: Any = None,
-) -> rd.Dataset:
-    """`ds` through the OCR stage. map_batches gets a callable
-    `processor` instance, not the class, so the stage runs as tasks on
-    Ray's reused worker processes and keeps its state warm from job to
-    job (a class would get an actor pool that lives for one execution).
-    `default_batch_size` applies when `cfg.ocr_batch_size` is None."""
-    fn = processor(
-        media_store=media_store,
-        engine_factory=cfg.engine_factory,
-        cache_media=cfg.cache_media,
-        metrics_name=cfg.metrics_name,
-        on_error=cfg.on_error,
-    )
-    conc = cfg.ocr_concurrency
-    # Ray makes a GPU task's worker single-use (max_calls=1) unless told
-    # otherwise, which would boot a process, and the models, per batch.
-    gpu = {"num_gpus": cfg.ocr_num_gpus, "max_calls": 0} if cfg.ocr_num_gpus > 0 else {}
-    return ds.map_batches(
-        fn,
-        batch_format="pyarrow",
-        batch_size=cfg.ocr_batch_size or default_batch_size,
-        concurrency=conc[1] if isinstance(conc, tuple) else conc,
-        num_cpus=cfg.ocr_num_cpus,
-        **gpu,
-    )
-
-
-def _restitch_by_doc(flat: rd.Dataset, cfg: OcrPipelineConfig) -> rd.Dataset:
-    """Re-stitch OCR'd span rows whose documents are spread across
-    batches: keyed `doc_id` exchange, then reassemble_block per
-    partition (span-less documents ride along as marker rows)."""
-    enable_hash_shuffle(flat)
-    docs = flat.repartition(cfg.reassemble_partitions, keys=["doc_id"]).map_batches(
-        reassemble_block, batch_format="pyarrow", batch_size=None
-    )
-    # The plan runs under the final dataset's context: patch it too.
-    enable_hash_shuffle(docs)
-    return docs
-
-
-#: Media-table columns the joined build attaches to each media span.
-_PAYLOAD = ("image", "height", "width", "channels", "format")
-#: Rows of the joined build's media_ref cogroup: a media span (payload
-#: null) or a media-table row (span columns null; its null `kind` is
-#: the tag).
-_COGROUP_SCHEMA = pa.schema(list(FLAT_SPANS_SCHEMA) + [MEDIA_SCHEMA.field(c) for c in _PAYLOAD])
-
-
-def _cogroup_rows(t: pa.Table) -> pa.Table:
-    """`t` in the cogroup schema: columns it lacks are null, the rest
-    cast to the schema's types."""
-    have = set(t.column_names)
-    cols = {
-        f.name: t[f.name] if f.name in have else pa.nulls(t.num_rows, f.type)
-        for f in _COGROUP_SCHEMA
-    }
-    return pa.table(cols, schema=_COGROUP_SCHEMA)
-
-
-def _resolve_media(block: pa.Table) -> pa.Table:
-    """One media_ref partition of the cogroup -> its media spans with
-    the payload of their ref attached. A ref the media table lacks gets
-    a null payload (left outer), which the OCR stage raises on or
-    quarantines, exactly like a broadcast-store miss."""
-    if block.num_rows == 0:
-        return _COGROUP_SCHEMA.empty_table()
-    is_span = pc.is_valid(block["kind"])
-    spans, media = block.filter(is_span), block.filter(pc.invert(is_span))
-    at = pc.index_in(spans["media_ref"], value_set=media["media_ref"].combine_chunks())
-    payload = media.select(list(_PAYLOAD)).take(at)
-    cols = spans.select(FLAT_SPANS_SCHEMA.names).columns + payload.columns
-    return pa.Table.from_arrays(cols, schema=_COGROUP_SCHEMA)
-
-
-def build_ocr_pipeline_joined(
-    spans_ds: rd.Dataset,
-    media_ds: rd.Dataset,
-    config: OcrPipelineConfig | None = None,
-    join_partitions: int = 8,
-) -> rd.Dataset:
-    """OCR pipeline resolving media by a keyed cogroup on media_ref
-    instead of a broadcast store — the path for media tables that do
-    NOT fit in worker memory (SURVEY.md §2.4). Text spans bypass the
-    cogroup entirely; only media span rows and payloads shuffle. The
-    spans input is read twice (text branch + media branch) — cheaper
-    than shipping payloads to every task when the media table
-    dominates. The cogroup splits documents across batches, so this
-    path keeps the `doc_id` re-stitch exchange.
-    """
-    cfg = config or OcrPipelineConfig()
-    flat = spans_ds.map_batches(
-        explode_spans, fn_kwargs={"keep_spanless": True}, batch_format="pyarrow"
-    )
-    enable_hash_shuffle(flat)
-
-    # Text spans and span-less document markers (null kind) bypass OCR.
-    text_rows = flat.map_batches(
-        lambda t: t.filter(pc.fill_null(pc.not_equal(t["kind"], "media"), True)),
-        batch_format="pyarrow",
-    )
-    media_rows = flat.map_batches(
-        lambda t: _cogroup_rows(t.filter(pc.equal(t["kind"], "media"))),
-        batch_format="pyarrow",
-    )
-    # A tagged-union cogroup, not Dataset.join: Ray's join crashes when
-    # a side is sparse (few media spans, e.g. a text-only shard). Every
-    # media span keeps its row (left outer): an unresolvable media_ref
-    # must surface as an error, or a quarantined empty span, exactly
-    # like the broadcast path, never silently drop the span.
-    tagged = media_rows.union(media_ds.map_batches(_cogroup_rows, batch_format="pyarrow"))
-    enable_hash_shuffle(tagged)
-    joined = tagged.repartition(join_partitions, keys=["media_ref"]).map_batches(
-        _resolve_media, batch_format="pyarrow", batch_size=None
-    )
-    ocr = _ocr_stage(joined, OcrInlineProcessor, cfg, SPAN_ROWS_PER_BATCH)
-    return _restitch_by_doc(text_rows.union(ocr), cfg)
-
-
 def _media_pixels(media_store: Any) -> tuple[pa.Array, np.ndarray]:
     """(media_ref, height x width) of every image in a media store (a
-    dict, an ObjectRef to one, or a parquet path), from metadata only:
-    no payload is decoded."""
-    if isinstance(media_store, str):
-        import pyarrow.parquet as pq
-
-        cols = pq.read_table(media_store, columns=["media_ref", "height", "width"]).to_pydict()
-        refs, h, w = cols["media_ref"], cols["height"], cols["width"]
-    else:
-        store = ray.get(media_store) if isinstance(media_store, ray.ObjectRef) else media_store
-        refs = list(store)
-        h, w = ([p[i] for p in store.values()] for i in (1, 2))
-    return pa.array(refs, type=pa.string()), np.multiply(h, w, dtype=np.int64)
+    dict, a `MediaTable`, or an ObjectRef to either), from metadata
+    only: no payload is decoded."""
+    store = ray.get(media_store) if isinstance(media_store, ray.ObjectRef) else media_store
+    if isinstance(store, MediaTable):
+        return store.refs, store.pixels
+    h, w = ([p[i] for p in store.values()] for i in (1, 2))
+    return pa.array(list(store), type=pa.string()), np.multiply(h, w, dtype=np.int64)
 
 
 def weigh_documents(batch: pa.Table, refs: pa.Array, pixels: np.ndarray) -> pa.Table:
@@ -768,9 +638,9 @@ def assign_weighted_partitions(
 def reassemble_block(batch: pa.Table) -> pa.Table:
     """Re-stitch flattened span rows into per-document span lists.
 
-    Requires all rows of a doc_id to be in the same batch (guaranteed by
-    OcrSpanProcessor receiving whole documents, or by a preceding hash
-    repartition on doc_id with batch_size=None).
+    Requires all rows of a doc_id to be in the same batch: every caller
+    (OcrSpanProcessor) explodes whole documents, so no build
+    repartitions on doc_id.
     Sorts by (doc_id, offset) and builds the list column with run-length
     offsets — no per-doc Python. Marker rows of
     `explode_spans(keep_spanless=True)` come back as their documents
@@ -830,8 +700,8 @@ def default_npart() -> int:
 
 def enable_hash_shuffle(ds: rd.Dataset | None = None) -> bool:
     """Switch Ray Data to the hash-shuffle strategy (needed for
-    key-based repartition; also the right all-to-all strategy for the
-    reassembly exchange at scale). Returns False when unavailable.
+    key-based repartition, e.g. the balanced OCR path's exchange on its
+    bin id). Returns False when unavailable.
 
     Datasets snapshot the DataContext at creation, so this must run
     before `read_parquet` — or pass the dataset to patch its captured
@@ -876,8 +746,16 @@ def _document_ocr(
     config: OcrPipelineConfig | None,
 ) -> rd.Dataset:
     """Whole documents through the OCR stage of `processor`, first
-    LPT-binned by pixel volume when `balance_partitions > 0`."""
+    LPT-binned by pixel volume when `balance_partitions > 0`. A media
+    Dataset or parquet path becomes a `MediaTable` here (its one eager
+    step: the media table is read and indexed now); a dict or a
+    `MediaTable` is `ray.put` once. map_batches gets a callable
+    `processor` instance, not the class, so the stage runs as tasks on
+    Ray's reused worker processes and keeps its state warm from job to
+    job (a class would get an actor pool that lives for one execution)."""
     cfg = config or OcrPipelineConfig()
+    if isinstance(media_store, (str, rd.Dataset)):
+        media_store = MediaTable(media_store)
     n = cfg.balance_partitions
     if n > 0:
         refs, pixels = _media_pixels(media_store)
@@ -890,9 +768,21 @@ def _document_ocr(
         # The OCR processors read doc_id and spans only, so the bin
         # columns (pixels, wpart) end at the OCR stage.
         spans_ds = spans_ds.repartition(n, keys=["wpart"])
-    if isinstance(media_store, dict):
+    if not isinstance(media_store, ray.ObjectRef):
         media_store = ray.put(media_store)
-    out = _ocr_stage(spans_ds, processor, cfg, DOCS_PER_BATCH, media_store)
+    fn = processor(media_store, cfg.engine_factory, cfg.cache_media, cfg.metrics_name, cfg.on_error)
+    conc = cfg.ocr_concurrency
+    # Ray makes a GPU task's worker single-use (max_calls=1) unless told
+    # otherwise, which would boot a process, and the models, per batch.
+    gpu = {"num_gpus": cfg.ocr_num_gpus, "max_calls": 0} if cfg.ocr_num_gpus > 0 else {}
+    out = spans_ds.map_batches(
+        fn,
+        batch_format="pyarrow",
+        batch_size=cfg.ocr_batch_size or DOCS_PER_BATCH,
+        concurrency=conc[1] if isinstance(conc, tuple) else conc,
+        num_cpus=cfg.ocr_num_cpus,
+        **gpu,
+    )
     if n > 0:
         enable_hash_shuffle(out)  # the plan runs under the final context
     return out
@@ -903,13 +793,19 @@ def build_ocr_pipeline(
     media_store: Any,
     config: OcrPipelineConfig | None = None,
 ) -> rd.Dataset:
-    """Compose the full OCR pipeline lazily (nothing executes here).
+    """Compose the full OCR pipeline lazily (only a media table's read
+    and index run here).
 
-    `media_store` may be a dict, a `ray.ObjectRef` to a dict (broadcast
-    once — preferred), or a path to the media parquet (each worker
-    process loads it itself; useful when the object store is tight).
+    `media_store` takes two forms:
+    - a dict of payloads, or a `ray.ObjectRef` to one (preferred):
+      broadcast once and looked up per span, for media tables that fit
+      in every worker;
+    - a media `Dataset` or parquet path, a `MediaTable`, or a
+      `ray.ObjectRef` to one: held by reference, each payload in the
+      object store once and each task fetching only the blocks its
+      batch cites, for media tables too large to broadcast.
     A store is loaded once per worker process and reused by later jobs
-    given the same ObjectRef or path.
+    given the same ObjectRef.
 
     The OCR tasks take whole documents and re-stitch them in place (no
     re-stitch exchange). With `balance_partitions > 0` the documents

@@ -3,14 +3,17 @@
 The reference CLI exposes these as file-per-image debug flags
 (/root/reference/ocrs-cli/src/main.rs:423-446 for --text-map /
 --text-mask / --text-line-images, output.rs:116-180 for --png). Here
-each sink is an actor-pool `map_batches` stage over a media table that
-emits the raw tensors as opaque binary columns + typed metadata — the
-same composable media-row layout the thumbnailer uses — and a
+each sink is a `map_batches` task stage over a media table that emits
+the raw tensors as opaque binary columns + typed metadata — the same
+composable media-row layout the thumbnailer uses — and a
 `write_debug_sinks` tap streams them to partitioned parquet. No image
 codec is needed: a PNG encoder would only wrap the same bytes.
 
-Engine state (fake or real models) loads once per actor in
-`__init__`; per-image work is `__call__`-batched.
+Each sink processor is a callable instance holding only its options,
+like the OCR processors: its engine comes from the worker process's
+engine slot (`pipeline.warm_engine`), built by the first task there and
+kept for later tasks and jobs. Called in-process (the corpus goldens)
+it uses the calling process's slot the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import ray.data as rd
 
 from .corpus import make_engine
 from .output import generate_annotated_png
-from .pipeline import decode_media
+from .pipeline import MEDIA_COLUMNS, decode_media, warm_engine
 
 __all__ = [
     "AnnotatedImageProcessor",
@@ -36,12 +39,6 @@ __all__ = [
     "ocr_line_images",
     "write_debug_sinks",
 ]
-
-MEDIA_COLUMNS = ["media_ref", "image", "height", "width", "channels", "format"]
-
-
-def _read_media(media_path: str) -> rd.Dataset:
-    return rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
 
 
 def _payloads(batch: pa.Table):
@@ -79,19 +76,20 @@ class AnnotatedImageProcessor:
     def __init__(self, engine_factory: Callable = make_engine, encode: str = "raw8-hwc"):
         if encode not in ("raw8-hwc", "png"):
             raise ValueError(f"unknown annotated encoding: {encode!r}")
-        self.engine = engine_factory()
+        self.engine_factory = engine_factory
         self.encode = encode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .png import encode_png
 
+        engine = warm_engine(self.engine_factory)
         refs, blobs, hs, ws = [], [], [], []
         for ref, payload in _payloads(batch):
             img = decode_media(payload)
-            inp = self.engine.prepare_input(img, order="hwc")
-            words = self.engine.detect_words(inp)
-            lines = self.engine.find_text_lines(inp, words)
-            text_lines = self.engine.recognize_text(inp, lines)
+            inp = engine.prepare_input(img, order="hwc")
+            words = engine.detect_words(inp)
+            lines = engine.find_text_lines(inp, words)
+            text_lines = engine.recognize_text(inp, lines)
             ann = generate_annotated_png(img, lines, text_lines)  # CHW f32
             out = np.clip(np.rint(ann * 255.0), 0, 255).astype(np.uint8)
             out = np.ascontiguousarray(out.transpose(1, 2, 0))  # -> HWC u8
@@ -121,15 +119,16 @@ class TextMapProcessor:
     floats)."""
 
     def __init__(self, engine_factory: Callable = make_engine):
-        self.engine = engine_factory()
+        self.engine_factory = engine_factory
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        engine = warm_engine(self.engine_factory)
         refs, maps, masks, hs, ws = [], [], [], [], []
-        thr = self.engine.detection_threshold()
+        thr = engine.detection_threshold()
         for ref, payload in _payloads(batch):
             img = decode_media(payload)
-            inp = self.engine.prepare_input(img, order="hwc")
-            text_map = self.engine.detect_text_pixels(inp).astype(np.float32)
+            inp = engine.prepare_input(img, order="hwc")
+            text_map = engine.detect_text_pixels(inp).astype(np.float32)
             refs.append(ref)
             maps.append(text_map.tobytes())
             masks.append((text_map > thr).astype(np.uint8).tobytes())
@@ -152,17 +151,18 @@ class LineImageProcessor:
     (main.rs:441-446): one input row fans out to one row per line."""
 
     def __init__(self, engine_factory: Callable = make_engine):
-        self.engine = engine_factory()
+        self.engine_factory = engine_factory
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        engine = warm_engine(self.engine_factory)
         refs, idxs, blobs, hs, ws = [], [], [], [], []
         for ref, payload in _payloads(batch):
             img = decode_media(payload)
-            inp = self.engine.prepare_input(img, order="hwc")
-            words = self.engine.detect_words(inp)
-            lines = self.engine.find_text_lines(inp, words)
+            inp = engine.prepare_input(img, order="hwc")
+            words = engine.detect_words(inp)
+            lines = engine.find_text_lines(inp, words)
             for i, line in enumerate(lines):
-                crop = self.engine.prepare_recognition_input(inp, line)
+                crop = engine.prepare_recognition_input(inp, line)
                 crop = np.asarray(crop, dtype=np.float32)
                 refs.append(ref)
                 idxs.append(i)
@@ -180,28 +180,24 @@ class LineImageProcessor:
         )
 
 
-def _stage(media_path: str, cls, batch_size: int = 32) -> rd.Dataset:
-    return _read_media(media_path).map_batches(
-        cls, batch_format="pyarrow", batch_size=batch_size, concurrency=(1, 4)
+def _stage(media_path: str, fn: Callable) -> rd.Dataset:
+    """`fn`, a sink processor instance, as a task stage over the media
+    table: no actor pool, so its engine stays warm across jobs."""
+    return rd.read_parquet(media_path, columns=MEDIA_COLUMNS).map_batches(
+        fn, batch_format="pyarrow", batch_size=32
     )
 
 
 def annotated_media(media_path: str, encode: str = "raw8-hwc") -> rd.Dataset:
-    return _read_media(media_path).map_batches(
-        AnnotatedImageProcessor,
-        fn_constructor_kwargs={"encode": encode},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 4),
-    )
+    return _stage(media_path, AnnotatedImageProcessor(encode=encode))
 
 
 def ocr_text_maps(media_path: str) -> rd.Dataset:
-    return _stage(media_path, TextMapProcessor)
+    return _stage(media_path, TextMapProcessor())
 
 
 def ocr_line_images(media_path: str) -> rd.Dataset:
-    return _stage(media_path, LineImageProcessor)
+    return _stage(media_path, LineImageProcessor())
 
 
 def write_debug_sinks(

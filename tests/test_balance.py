@@ -98,7 +98,7 @@ def test_pipeline_equality_with_balancing(ray_session, tmp_path):
     ds = read_spans(paths["spans"])
     media = load_media_store(paths["media"])
     cfg = OcrPipelineConfig(
-        ocr_concurrency=(1, 2), reassemble_partitions=4, balance_partitions=4
+        ocr_concurrency=(1, 2), balance_partitions=4
     )
     got = build_ocr_pipeline(ds, media, cfg).to_pandas()
     exp = pq.read_table(paths["expected_flat"]).to_pandas()

@@ -64,7 +64,7 @@ def test_kill_and_resume_exactly_once(corpus, tmp_path):
     from ocrs_ray.pipeline import OcrPipelineConfig
 
     out_root = str(tmp_path / "out")
-    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), reassemble_partitions=4)
+    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2))
 
     # First run dies after 2 committed shards.
     with pytest.raises(RuntimeError, match="injected failure"):
@@ -109,7 +109,7 @@ def test_resume_noop_when_complete(corpus, tmp_path):
     from ocrs_ray.pipeline import OcrPipelineConfig
 
     out_root = str(tmp_path / "out2")
-    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), reassemble_partitions=4)
+    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2))
     run_ocr_job(corpus["spans"], corpus["media"], out_root, config=cfg, num_shards=2)
     result = run_ocr_job(
         corpus["spans"], corpus["media"], out_root, config=cfg, num_shards=2

@@ -193,7 +193,7 @@ def test_flagship_pipeline_on_jpeg_media(ray_session):
         decoded = decode_jpeg(payload)
         golden[ref] = engine.get_text(engine.prepare_input(decoded, order="hwc"))
 
-    cfg = OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
+    cfg = OcrPipelineConfig(ocr_concurrency=2)
     out = build_ocr_pipeline(read_spans(corpus["spans"]), jpeg_media, cfg).to_pandas()
 
     n_media = 0

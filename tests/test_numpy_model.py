@@ -173,7 +173,7 @@ def test_pipeline_actor_loads_checkpoint(ray_session, tmp_path):
     ds = read_spans_lance(paths["spans"])
     media = load_media_store(paths["media"])
     cfg = OcrPipelineConfig(
-        ocr_concurrency=1, reassemble_partitions=4, engine_factory=factory
+        ocr_concurrency=1, engine_factory=factory
     )
     flat = (
         build_ocr_pipeline(ds, media, cfg)

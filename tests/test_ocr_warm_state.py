@@ -13,12 +13,12 @@ import pytest
 
 from ocrs_ray.corpus import ensure_corpus, make_engine
 from ocrs_ray.pipeline import (
+    MEDIA_COLUMNS,
     OcrLayoutProcessor,
     OcrPipelineConfig,
     OcrSpanProcessor,
     build_layout_pipeline,
     build_ocr_pipeline,
-    build_ocr_pipeline_joined,
     load_media_store,
     read_spans,
 )
@@ -99,6 +99,7 @@ def test_warm_slot_reused_by_later_builds_and_replaced_on_key_change(
     from ocrs_ray import pipeline
 
     monkeypatch.setattr(pipeline, "_WARM", None)
+    monkeypatch.setattr(pipeline, "_ENGINE", None)
     ray.get(engine_builds.reset.remote())
     batch = pq.read_table(corpus["spans"]).slice(0, 8)
     store = load_media_store(corpus["media"])
@@ -149,6 +150,24 @@ def test_text_and_layout_calls_share_state_not_memo(ray_session, corpus, monkeyp
     assert layout() == want_layout["layout_json"].tolist()
     assert text() == want_text and layout() == want_layout["layout_json"].tolist()
     assert pipeline._WARM[1] is state and len(want_layout) > 0
+
+
+def test_sink_reuses_engine_and_keeps_ocr_state(ray_session, corpus, monkeypatch):
+    """A debug-sink call in a process with warm OCR state runs on the
+    same engine and leaves the OCR state (store and memo) in place."""
+    import ray
+
+    from ocrs_ray import pipeline
+    from ocrs_ray.sinks import TextMapProcessor
+
+    monkeypatch.setattr(pipeline, "_WARM", None)
+    monkeypatch.setattr(pipeline, "_ENGINE", None)
+    batch = pq.read_table(corpus["spans"]).slice(0, 8)
+    OcrSpanProcessor(ray.put(load_media_store(corpus["media"])))(batch)
+    state = pipeline._WARM[1]
+    maps = TextMapProcessor()(pq.read_table(corpus["media"], columns=MEDIA_COLUMNS))
+    assert maps.num_rows > 0
+    assert pipeline._WARM[1] is state and pipeline._ENGINE[1] is state.engine
 
 
 def test_engine_built_once_per_worker_across_jobs(engine_builds, corpus):
@@ -224,17 +243,13 @@ def test_ocr_stage_runs_as_named_task_stage(ray_session, corpus, path):
 
     cfg = OcrPipelineConfig(
         ocr_concurrency=(1, 2),
-        reassemble_partitions=2,
         balance_partitions=2 if path == "balanced" else 0,
     )
     spans = read_spans(corpus["spans"])
     if path == "joined":
-        media = rd.read_parquet(
-            corpus["media"],
-            columns=["media_ref", "image", "height", "width", "channels", "format"],
-        )
-        ds = build_ocr_pipeline_joined(spans, media, cfg, join_partitions=2)
-        name = "MapBatches(OcrInlineProcessor)"
+        media = rd.read_parquet(corpus["media"], columns=MEDIA_COLUMNS)
+        ds = build_ocr_pipeline(spans, media, cfg)
+        name = "MapBatches(OcrSpanProcessor)"
     elif path == "layout":
         ds = build_layout_pipeline(spans, load_media_store(corpus["media"]), cfg)
         name = "MapBatches(OcrLayoutProcessor)"

@@ -7,9 +7,9 @@ import pytest
 
 from ocrs_ray.corpus import ensure_corpus
 from ocrs_ray.pipeline import (
+    MEDIA_COLUMNS,
     OcrPipelineConfig,
     build_ocr_pipeline,
-    build_ocr_pipeline_joined,
     explode_spans,
     load_media_store,
     read_spans,
@@ -54,7 +54,7 @@ def test_pipeline_span_equality(ray_session, corpus):
     ds = read_spans(corpus["spans"])
     media = load_media_store(corpus["media"])
     out = build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
+        ds, media, OcrPipelineConfig(ocr_concurrency=2)
     )
     got = flatten_result(out.to_pandas())
     exp = (
@@ -81,7 +81,7 @@ def test_pipeline_passthrough_docs(ray_session, corpus):
     ds = read_spans(corpus["spans"])
     media = load_media_store(corpus["media"])
     out = build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
+        ds, media, OcrPipelineConfig(ocr_concurrency=2)
     ).to_pandas()
     by_doc = {r["doc_id"]: list(r["spans"]) for _, r in out.iterrows()}
     for doc_id, in_spans in media_free.items():
@@ -90,26 +90,20 @@ def test_pipeline_passthrough_docs(ray_session, corpus):
 
 
 def test_joined_pipeline_matches_broadcast(ray_session):
-    """The shuffle-join media path (large-media-table mode) produces
-    byte-identical span sequences to the broadcast path."""
+    """The by-reference media path (large-media-table mode: a media
+    Dataset instead of a dict) produces byte-identical span sequences
+    to the broadcast path."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from ocrs_ray.corpus import ensure_corpus
-    from ocrs_ray.pipeline import (
-        OcrPipelineConfig,
-        build_ocr_pipeline_joined,
-        read_spans,
-    )
+    from ocrs_ray.pipeline import OcrPipelineConfig, read_spans
 
     paths = ensure_corpus("/tmp/ocrs_ray_join_corpus", n_docs=80, row_group_docs=20)
     spans = read_spans(paths["spans"])
-    media = rd.read_parquet(
-        paths["media"],
-        columns=["media_ref", "image", "height", "width", "channels", "format"],
-    )
-    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), reassemble_partitions=4)
-    got = build_ocr_pipeline_joined(spans, media, cfg, join_partitions=4).to_pandas()
+    media = rd.read_parquet(paths["media"], columns=MEDIA_COLUMNS)
+    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2))
+    got = build_ocr_pipeline(spans, media, cfg).to_pandas()
     exp = pq.read_table(paths["expected_flat"]).to_pandas()
     exp_docs = {
         d: list(zip(g.sort_values("offset")["kind"], g.sort_values("offset")["text"]))
@@ -122,6 +116,21 @@ def test_joined_pipeline_matches_broadcast(ray_session):
     assert got_docs == exp_docs
 
 
+def test_media_table_payloads_match_dict_store(ray_session, corpus):
+    """The by-reference store, built from a media parquet path, resolves
+    a ref to the dict store's exact payload, and a ref it lacks to None
+    (a miss), also when the media Dataset has no blocks at all."""
+    import ray.data as rd
+
+    from ocrs_ray.pipeline import MediaTable
+
+    store = load_media_store(corpus["media"])
+    ref = sorted(store)[0]
+    table = MediaTable(corpus["media"])
+    assert table.payloads([ref, "missing", None, ref]) == [store[ref], None, None, store[ref]]
+    assert MediaTable(rd.from_items([])).payloads([ref]) == [None]
+
+
 def test_doc_text_sink_matches_golden(ray_session, corpus):
     """Document-level plain-text sink (the reference's get_text shape,
     ocrs/src/lib.rs:290-300): span texts joined with '\n' in offset
@@ -132,7 +141,7 @@ def test_doc_text_sink_matches_golden(ray_session, corpus):
     ds = read_spans(corpus["spans"])
     media = load_media_store(corpus["media"])
     docs = build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
+        ds, media, OcrPipelineConfig(ocr_concurrency=2)
     )
 
     def join_text(t: pa.Table) -> pa.Table:
@@ -190,7 +199,7 @@ def test_read_spans_lance_parquet_fallback(ray_session, tmp_path):
     ds = read_spans_lance(paths["spans"])
     media = load_media_store(paths["media"])
     out = build_ocr_pipeline(
-        ds, media, OcrPipelineConfig(ocr_concurrency=(1, 1), reassemble_partitions=2)
+        ds, media, OcrPipelineConfig(ocr_concurrency=(1, 1))
     )
     out_dir = str(tmp_path / "out")
     write_spans(out, out_dir)
@@ -254,21 +263,17 @@ OCR_PATHS = ("default", "balanced", "joined")
 
 def _build_path(path, spans_ds, corpus):
     """One of the three OCR pipeline builds over `spans_ds`: the
-    document-granular default, pixel-balanced documents, and the media
-    cogroup."""
+    document-granular default, pixel-balanced documents, and "joined",
+    the media table held by reference (a media Dataset for the store)."""
     import ray.data as rd
 
     cfg = OcrPipelineConfig(
         ocr_concurrency=(1, 2),
-        reassemble_partitions=2,
         balance_partitions=2 if path == "balanced" else 0,
     )
     if path == "joined":
-        media = rd.read_parquet(
-            corpus["media"],
-            columns=["media_ref", "image", "height", "width", "channels", "format"],
-        )
-        return build_ocr_pipeline_joined(spans_ds, media, cfg, join_partitions=2)
+        media = rd.read_parquet(corpus["media"], columns=MEDIA_COLUMNS)
+        return build_ocr_pipeline(spans_ds, media, cfg)
     return build_ocr_pipeline(spans_ds, load_media_store(corpus["media"]), cfg)
 
 
@@ -309,25 +314,23 @@ def test_spanless_docs_survive_every_path(ray_session, corpus, spanless_input, p
 
 @pytest.mark.parametrize("path", OCR_PATHS)
 def test_only_span_row_paths_exchange_on_doc_id(ray_session, corpus, spanless_input, path):
-    """The default and balanced builds re-stitch inside the OCR task:
-    the default plan holds no shuffle or repartition, the balanced one
-    only its exchange on the bin id. The joined build feeds span rows,
-    so it alone keeps the keyed doc_id exchange. Span-less documents
-    add no read: the spans table is read once, twice on the joined
-    path (text and media branches) plus the media table."""
+    """Every build re-stitches inside the OCR task, so none exchanges
+    on doc_id: the default and by-reference ("joined") plans hold no
+    shuffle or repartition, the balanced one only its exchange on the
+    bin id. Span-less documents add no read, and the by-reference
+    media table is read when the pipeline is built, not in its plan:
+    the plan reads the spans table once."""
     import re
 
     out = _build_path(path, read_spans(spanless_input[0]), corpus).materialize()
     stats = out.stats()
-    if path == "default":
-        assert "Shuffle" not in stats and "Repartition" not in stats
-    elif path == "balanced":
+    if path == "balanced":
         assert "key_columns=('wpart',)" in stats
         assert "key_columns=('doc_id',)" not in stats
     else:
-        assert "key_columns=('doc_id',)" in stats
+        assert "Shuffle" not in stats and "Repartition" not in stats
     reads = re.findall(r"^Operator \d+ ReadParquet", stats, re.M)
-    assert len(reads) == (3 if path == "joined" else 1), stats
+    assert len(reads) == 1, stats
 
 
 @pytest.fixture(scope="module")
@@ -348,8 +351,9 @@ def sparse_media_inputs(corpus, tmp_path_factory):
 @pytest.mark.parametrize("case", ("text_only", "first3"))
 def test_joined_path_survives_sparse_media_side(ray_session, corpus, sparse_media_inputs, case):
     """A shard with few or no media spans is normal input for the
-    joined build; Ray's native Dataset.join crashed on it ("No match
-    or multiple matches for key field reference") at 2 partitions."""
+    by-reference build (a join on media_ref once did this work, and
+    Ray's native Dataset.join crashed on such a shard: "No match or
+    multiple matches for key field reference" at 2 partitions)."""
     spans_path = sparse_media_inputs[case]
     docs = pq.read_table(spans_path).column("doc_id").to_pylist()
     out = _build_path("joined", read_spans(spans_path), corpus)

@@ -37,7 +37,7 @@ def test_default_mode_aborts_on_poison(corpus):
     from ocrs_ray.pipeline import OcrPipelineConfig, build_ocr_pipeline, read_spans
 
     store, _ = _broken_store(corpus)
-    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), reassemble_partitions=4)
+    cfg = OcrPipelineConfig(ocr_concurrency=(1, 2))
     ds = build_ocr_pipeline(read_spans(corpus["spans"]), store, cfg)
     with pytest.raises(Exception):
         ds.count()
@@ -55,7 +55,6 @@ def test_quarantine_keeps_job_alive(corpus):
     ray.get(metrics.reset.remote())
     cfg = OcrPipelineConfig(
         ocr_concurrency=(1, 2),
-        reassemble_partitions=4,
         on_error="quarantine",
         metrics_name=name,
     )
@@ -94,26 +93,19 @@ def _poison_rows(metrics, want: int) -> int:
 
 def test_quarantine_same_on_broadcast_and_joined(corpus):
     """A poison media span is quarantined the same way whether media
-    come from the broadcast store or the media_ref hash join: same
-    output, same poison_rows count."""
+    come from the broadcast store or the by-reference media table
+    ("joined", the large-media-table store): same output, same
+    poison_rows count."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
-    from ocrs_ray.pipeline import (
-        OcrPipelineConfig,
-        build_ocr_pipeline,
-        build_ocr_pipeline_joined,
-        read_spans,
-    )
+    from ocrs_ray.pipeline import MEDIA_COLUMNS, OcrPipelineConfig, build_ocr_pipeline, read_spans
     from ocrs_ray.state.metrics import MetricsActor
 
     store, victim = _broken_store(corpus)
-    media = pq.read_table(
-        corpus["media"],
-        columns=["media_ref", "image", "height", "width", "channels", "format"],
-    )
+    media = pq.read_table(corpus["media"], columns=MEDIA_COLUMNS)
     media = media.filter(pc.not_equal(media["media_ref"], victim))
     outs, counts = {}, {}
     for path in ("broadcast", "joined"):
@@ -122,15 +114,11 @@ def test_quarantine_same_on_broadcast_and_joined(corpus):
         ray.get(metrics.reset.remote())
         cfg = OcrPipelineConfig(
             ocr_concurrency=(1, 2),
-            reassemble_partitions=4,
             on_error="quarantine",
             metrics_name=name,
         )
         spans = read_spans(corpus["spans"])
-        if path == "broadcast":
-            ds = build_ocr_pipeline(spans, store, cfg)
-        else:
-            ds = build_ocr_pipeline_joined(spans, rd.from_arrow(media), cfg, join_partitions=4)
+        ds = build_ocr_pipeline(spans, store if path == "broadcast" else rd.from_arrow(media), cfg)
         outs[path] = sorted(arrow_rows(ds), key=lambda r: r["doc_id"])
         poisoned = sum(
             s["media_ref"] == victim for r in outs[path] for s in r["spans"]

@@ -373,7 +373,7 @@ def test_flagship_pipeline_on_lossy_webp_media(ray_session):
             engine.prepare_input(decoded, order="hwc")
         )
 
-    cfg = OcrPipelineConfig(ocr_concurrency=2, reassemble_partitions=4)
+    cfg = OcrPipelineConfig(ocr_concurrency=2)
     out = build_ocr_pipeline(
         read_spans(corpus["spans"]), webp_media, cfg
     ).to_pandas()

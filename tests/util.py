@@ -58,12 +58,11 @@ def gen_test_image(n_words: int) -> np.ndarray:
 def arrow_rows(ds) -> list[dict]:
     """Every row of a Ray dataset as a dict, read through its Arrow
     blocks so list and null values stay exact. Materializes once (a
-    bare `to_arrow_refs` re-executes the plan to fetch the schema) and
-    skips the zero-column blocks that empty partitions of
-    `build_ocr_pipeline_joined`'s `doc_id` exchange yield (the other
-    OCR builds yield none)."""
+    bare `to_arrow_refs` re-executes the plan to fetch the schema).
+    Every block, empty ones included, must share one schema:
+    `concat_tables` raises on a zero-column block, so an OCR build that
+    yields one fails here."""
     import pyarrow as pa
     import ray
 
-    blocks = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    return pa.concat_tables(blocks).to_pylist()
+    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs())).to_pylist()

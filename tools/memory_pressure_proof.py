@@ -13,10 +13,11 @@ Two modes:
   dict, so object volume is spans + recognized text — the proof shows
   the streaming footprint stays bounded (little/no spill even at 100k
   docs under a small store).
-- --joined: media payloads flow THROUGH the object store (hash-join
-  media resolution over a 1024-template pool with 30% large images) —
-  the data-heavy path that actually exceeds the cap, so the proof
-  shows the executor spills and the output is still exact.
+- --joined: the media table is held by reference (a media Dataset
+  passed to `build_ocr_pipeline`, a 1024-template pool with 30% large
+  images): each payload sits in the object store once and OCR tasks
+  fetch only the blocks their documents cite, so the proof shows what
+  the by-reference store costs in spill, and that the output is exact.
 
 Usage (owns its Ray session; never run concurrently with a bench):
     python tools/memory_pressure_proof.py [n_docs] [num_cpus] [store_mb] [--joined]
@@ -48,21 +49,21 @@ def main() -> None:
 
     from ocrs_ray.corpus import ensure_corpus
     from ocrs_ray.pipeline import (
+        MEDIA_COLUMNS,
         OcrPipelineConfig,
         build_ocr_pipeline,
-        build_ocr_pipeline_joined,
         load_media_store,
         read_spans_lance as read_spans,
     )
 
     if joined:
         # A 1024-template corpus with EXACT bench.py kwargs: ~130 MB of
-        # media payloads fan out to ~16k media spans (~2 GB) through the
-        # join — far over the cap. bench's sf0.1 headline corpus lives
-        # at /tmp/ocrs_ray_bench/sf0.1 with n_docs=8000; reuse THAT
-        # cache when the doc count matches, otherwise build our own
-        # (the params manifest would force a full 1024-template
-        # regeneration of the shared dir on any kwarg mismatch).
+        # media payloads cited by ~16k media spans. bench's sf0.1
+        # headline corpus lives at /tmp/ocrs_ray_bench/sf0.1 with
+        # n_docs=8000; reuse THAT cache when the doc count matches,
+        # otherwise build our own (the params manifest would force a
+        # full 1024-template regeneration of the shared dir on any
+        # kwarg mismatch).
         root = (
             "/tmp/ocrs_ray_bench/sf0.1"
             if n_docs == 8000
@@ -97,21 +98,12 @@ def main() -> None:
     t0 = time.time()
     ds = read_spans(paths["spans"])
     w = max(2, min(num_cpus - 2, int(num_cpus * 0.75)))
-    cfg = OcrPipelineConfig(
-        ocr_concurrency=(w, w),
-        reassemble_partitions=max(8, num_cpus),
-        cache_media=False,
-    )
+    cfg = OcrPipelineConfig(ocr_concurrency=(w, w), cache_media=False)
     if joined:
-        media_ds = rd.read_parquet(
-            paths["media"],
-            columns=["media_ref", "image", "height", "width", "channels", "format"],
-        )
-        out = build_ocr_pipeline_joined(
-            ds, media_ds, cfg, join_partitions=max(8, num_cpus // 2)
-        )
+        media = rd.read_parquet(paths["media"], columns=MEDIA_COLUMNS)
     else:
-        out = build_ocr_pipeline(ds, load_media_store(paths["media"]), cfg)
+        media = load_media_store(paths["media"])
+    out = build_ocr_pipeline(ds, media, cfg)
     out.write_parquet(out_dir)
     wall = time.time() - t0
 

@@ -144,11 +144,7 @@ def main() -> None:
         media = load_media_store(paths["media"])
         tile_px = 64 * 64
         for balance in (0, 16):
-            cfg = OcrPipelineConfig(
-                ocr_concurrency=(w, w),
-                reassemble_partitions=max(8, num_cpus),
-                balance_partitions=balance,
-            )
+            cfg = OcrPipelineConfig(ocr_concurrency=(w, w), balance_partitions=balance)
             t0 = time.time()
             ds = read_spans(paths["spans"])
             n = build_ocr_pipeline(ds, media, cfg).count()
