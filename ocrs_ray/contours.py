@@ -1,186 +1,141 @@
-"""Connected components and outer-border tracing on binary masks.
+"""Outer-border tracing of the 8-connected components of a binary mask.
 
-Pure-numpy implementation of the public algorithms behind
+Pure-numpy implementation of the public algorithm behind
 `rten_imageproc::find_contours(mask, RetrievalMode::External)` as used by
-word detection (/root/reference/ocrs/src/detection.rs:41-62): run-based
-two-pass connected-component labeling (8-connectivity) + Moore-neighbor
-border following per component.
+word detection (reference `detection.rs:41-62`), in one pass over the
+mask's bounding box of non-empty rows and columns:
+
+1. Components. Horizontal runs of set pixels are found on the
+   zero-padded box; the runs of adjacent rows that touch under
+   8-connectivity are paired with two `searchsorted` calls, and
+   vectorized min-label propagation labels each run with the lowest run
+   index of its component. Components are emitted in that order, i.e.
+   by their first pixel in row-major order, which is where each trace
+   starts.
+2. Trace. Every pixel gets an 8-bit mask of its set neighbours (bit d
+   for Moore direction d, clockwise from W). The clockwise Moore trace
+   then makes one table lookup per step, `(bits, backtrack) -> next
+   direction`, on the whole padded box: every set 8-neighbour of a
+   component pixel is in the same component, so no label image or
+   per-component crop is needed. The trace stops when it is back on the
+   start pixel and about to repeat its first move (Suzuki & Abe's rule),
+   so a start pixel that the border passes more than once, such as the
+   apex of a V, does not end it early.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["label_components", "outer_contours", "find_contours_external"]
+__all__ = ["find_contours_external"]
+
+# Moore neighbourhood in clockwise order starting from W, as (dx, dy).
+_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 
 
-def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Label 8-connected components of a boolean mask.
-
-    Returns (labels, n) where labels is int32 with 0 = background and
-    components numbered 1..n in row-major discovery order of their first
-    run (matches the scan order the reference's contour finder uses for
-    emitting contours top-to-bottom).
-    """
-    mask = np.ascontiguousarray(mask, dtype=bool)
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    if not mask.any():
-        return labels, 0
-
-    # Extract runs per row, vectorized: a run is a maximal horizontal
-    # strip of True pixels.
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    diff = np.diff(padded, axis=1)
-    starts = np.argwhere(diff == 1)  # (row, col) with col = run start
-    ends = np.argwhere(diff == -1)  # col = run end (exclusive)
-    # argwhere returns row-major order, so starts/ends align per row.
-    run_row = starts[:, 0]
-    run_start = starts[:, 1]
-    run_end = ends[:, 1]
-    n_runs = len(run_row)
-
-    parent = np.arange(n_runs, dtype=np.int64)
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    # Merge runs on adjacent rows that overlap under 8-connectivity
-    # (overlap after extending one run by 1 pixel on each side).
-    row_bounds = np.searchsorted(run_row, np.arange(h + 1))
-    for r in range(1, h):
-        a0, a1 = row_bounds[r - 1], row_bounds[r]
-        b0, b1 = row_bounds[r], row_bounds[r + 1]
-        if a0 == a1 or b0 == b1:
-            continue
-        ai = a0
-        for bi in range(b0, b1):
-            bs, be = run_start[bi] - 1, run_end[bi] + 1
-            while ai < a1 and run_end[ai] <= bs:
-                ai += 1
-            aj = ai
-            while aj < a1 and run_start[aj] < be:
-                union(aj, bi)
-                aj += 1
-            if aj > a0 and aj == a1:
-                # keep ai where it is for the next b run; runs are sorted.
-                pass
-
-    roots = np.array([find(i) for i in range(n_runs)], dtype=np.int64)
-    uniq, inv = np.unique(roots, return_inverse=True)
-    # Components numbered by first-run order (uniq is sorted by root
-    # index, and root index == earliest run due to min-root union).
-    comp_of_run = inv.astype(np.int32) + 1
-    for i in range(n_runs):
-        labels[run_row[i], run_start[i] : run_end[i]] = comp_of_run[i]
-    return labels, len(uniq)
+def _step_table() -> bytes:
+    """`table[bits << 3 | back]`: the first set direction clockwise after
+    the backtrack direction `back` (ending with `back` itself), or 8 for
+    a pixel with no set neighbour."""
+    table = bytearray(256 * 8)
+    for bits in range(256):
+        for back in range(8):
+            dirs = [(back + k) % 8 for k in range(1, 9)]
+            table[bits << 3 | back] = next((d for d in dirs if bits >> d & 1), 8)
+    return bytes(table)
 
 
-# Moore neighborhood in clockwise order starting from W:
-# (dx, dy) pairs.
-_MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]
+_STEP = _step_table()
 
 
-def _trace_border(comp_mask: np.ndarray, start_xy: tuple[int, int]) -> np.ndarray:
-    """Moore-neighbor border trace (clockwise) of one component.
-
-    `comp_mask` is a padded bool array; `start_xy` is the component's
-    first pixel in row-major order (its top-left-most border pixel).
-    Returns (N, 2) int array of (x, y) border pixel coordinates.
-    """
-    sx, sy = start_xy
-    contour = [(sx, sy)]
-    # Backtrack starts pointing W (we entered from the left).
-    prev_dir = 0
-    cx, cy = sx, sy
+def _components(padded: np.ndarray) -> np.ndarray:
+    """Flat index in `padded` of the first pixel of each 8-connected
+    component, in row-major order."""
+    wp = padded.shape[1]
+    edges = np.diff(padded.ravel().view(np.int8))
+    starts = np.flatnonzero(edges == 1) + 1
+    ends = np.flatnonzero(edges == -1) + 1  # exclusive
+    # Run a on the row above touches run b iff a.start <= b.end and
+    # a.end >= b.start (ends exclusive); in flat indices that is one
+    # row (wp) back. The keys cannot reach two rows back or b's own row,
+    # because every padded row starts and ends with a zero.
+    lo = np.searchsorted(ends, starts - wp, side="left")
+    hi = np.searchsorted(starts, ends - wp, side="right")
+    n_pairs = np.maximum(hi - lo, 0)
+    label = np.arange(len(starts))
+    b = np.repeat(label, n_pairs)
+    a = np.repeat(lo - np.cumsum(n_pairs) + n_pairs, n_pairs) + np.arange(len(b))
+    # Each pass lowers both ends of every touching pair to their smaller
+    # label, then follows labels as pointers; at the fixed point every
+    # run holds the lowest run index of its component.
     while True:
-        found = False
-        # Search clockwise starting just after the backtrack direction.
-        for k in range(1, 9):
-            d = (prev_dir + k) % 8
-            dx, dy = _MOORE[d]
-            nx, ny = cx + dx, cy + dy
-            if comp_mask[ny, nx]:
-                contour.append((nx, ny))
-                cx, cy = nx, ny
-                # New backtrack: direction opposite of the move we just
-                # made, i.e. pointing back at the previous pixel.
-                prev_dir = (d + 4) % 8
-                found = True
-                break
-        if not found:
-            break  # isolated pixel
-        if (cx, cy) == (sx, sy):
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new[new]]
+        if (new == label).all():
             break
-    if len(contour) > 1 and contour[-1] == contour[0]:
-        contour.pop()
-    return np.array(contour, dtype=np.int64)
-
-
-def outer_contours(labels: np.ndarray, n: int) -> list[np.ndarray]:
-    """Trace the outer border of each labeled component.
-
-    Returns one (N, 2) array of (x, y) border points per component, in
-    component order (top-to-bottom discovery).
-    """
-    h, w = labels.shape
-    out: list[np.ndarray] = []
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    labs = flat[nz]
-    ys, xs = nz // w, nz % w
-    # First pixel of each component in row-major order (labs is already
-    # row-major, so the first occurrence per label is the start pixel).
-    uniq, first = np.unique(labs, return_index=True)
-    # Per-component bounding boxes, one vectorized pass — tracing then
-    # works on a small crop instead of a full-size mask per component.
-    x0 = np.full(n + 1, w, dtype=np.int64)
-    x1 = np.zeros(n + 1, dtype=np.int64)
-    y0 = np.full(n + 1, h, dtype=np.int64)
-    y1 = np.zeros(n + 1, dtype=np.int64)
-    np.minimum.at(x0, labs, xs)
-    np.maximum.at(x1, labs, xs)
-    np.minimum.at(y0, labs, ys)
-    np.maximum.at(y1, labs, ys)
-    first_of = dict(zip(uniq.tolist(), first.tolist()))
-    for lab in range(1, n + 1):
-        i = first_of[lab]
-        fx, fy = int(xs[i]), int(ys[i])
-        bx0, bx1 = int(x0[lab]), int(x1[lab])
-        by0, by1 = int(y0[lab]), int(y1[lab])
-        sub = labels[by0 : by1 + 1, bx0 : bx1 + 1] == lab
-        padded = np.zeros((sub.shape[0] + 2, sub.shape[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = sub
-        pts = _trace_border(padded, (fx - bx0 + 1, fy - by0 + 1))
-        pts = pts - 1
-        pts[:, 0] += bx0
-        pts[:, 1] += by0
-        out.append(pts)
-    return out
+        label = new
+    return starts[label == np.arange(len(starts))]
 
 
 def find_contours_external(mask: np.ndarray) -> list[np.ndarray]:
     """Outer contours of all 8-connected components in `mask`.
 
     Equivalent surface to `find_contours(mask, RetrievalMode::External)`
-    (/root/reference/ocrs/src/detection.rs:46). Returns (N, 2) arrays of
-    (x, y) border-pixel coordinates.
+    (reference `detection.rs:46`). Returns one (N, 2) int64 array of
+    (x, y) border-pixel coordinates per component, clockwise from the
+    component's first pixel, components in row-major order of that
+    pixel.
     """
-    labels, n = label_components(mask)
-    if n == 0:
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
         return []
-    return outer_contours(labels, n)
+    cols = np.flatnonzero(mask.any(axis=0))
+    y0, x0 = int(rows[0]), int(cols[0])
+    box = mask[y0 : int(rows[-1]) + 1, x0 : int(cols[-1]) + 1]
+    h, w = box.shape
+    wp = w + 2
+    padded = np.zeros((h + 2, wp), dtype=np.uint8)
+    padded[1:-1, 1:-1] = box
+    offset = [dx + dy * wp for dx, dy in _MOORE]
+    # Neighbour bits by flat shifts. Set pixels all lie in [wp + 1,
+    # n - wp - 1), so their 8 neighbours never wrap; the other entries
+    # are never read.
+    cells = padded.ravel()
+    n = cells.size
+    bits = np.zeros(n, dtype=np.uint8)
+    core = bits[wp + 1 : n - wp - 1]
+    for d, off in enumerate(offset):
+        core |= cells[wp + 1 + off : n - wp - 1 + off] << d
+    nbits = bits.tobytes()
+
+    step = _STEP
+    back_of = [(d + 4) % 8 for d in range(8)]
+    flat: list[int] = []
+    ends: list[int] = []
+    for start in _components(padded).tolist():
+        flat.append(start)
+        # The start is its component's first pixel, so the backtrack
+        # direction W points at background.
+        d = step[nbits[start] << 3]
+        if d != 8:
+            first = pos = start + offset[d]
+            back = back_of[d]
+            flat.append(first)
+            while True:
+                d = step[nbits[pos] << 3 | back]
+                nxt = pos + offset[d]
+                if nxt == first and pos == start:
+                    break
+                flat.append(nxt)
+                pos = nxt
+                back = back_of[d]
+            flat.pop()  # the start pixel, reached again
+        ends.append(len(flat))
+
+    y, x = np.divmod(np.array(flat, dtype=np.int64), wp)
+    xy = np.stack([x + (x0 - 1), y + (y0 - 1)], axis=1)
+    return np.split(xy, ends[:-1])

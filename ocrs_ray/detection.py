@@ -1,8 +1,9 @@
 """Text detection: model inference + connected-component post-processing.
 
 Re-implements the semantics of /root/reference/ocrs/src/detection.rs as
-a plain-python/numpy class intended to live inside a Ray Data actor-pool
-stage (weights loaded once per actor, many images per call).
+a plain-python/numpy class that lives in the OCR task stage's warm
+per-worker-process engine (weights loaded once per worker process, many
+images per call).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def find_connected_component_rects(
 class TextDetector:
     """Finds oriented bounding boxes of words in normalized images.
 
-    Designed for use inside a Ray `map_batches` actor: construct once in
-    `__init__` (model load), call `detect_words` per image.
+    Built once per worker process, inside the OCR task stage's warm
+    engine (model load in `__init__`); `detect_words` runs per image.
     """
 
     #: Distance to expand detected boxes by, recovering ground-truth size

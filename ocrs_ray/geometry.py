@@ -475,22 +475,21 @@ def downwards_line(l: Line) -> Line:
 
 
 # ---------------------------------------------------------------------------
-# Convex hull / min-area rect (rotating calipers)
+# Convex hull / min-area rect (one candidate box per hull edge)
 # ---------------------------------------------------------------------------
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; points is (N, 2) float array of (x, y).
+def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Andrew's monotone chain over (x, y) float pairs, deduplicated and
+    sorted by x then y.
 
-    The turn test is scalar python-float arithmetic, not np.cross:
-    per-2-vector numpy calls dominate the profile at this size and the
-    float64 product is bit-identical either way.
+    Scalar python-float arithmetic throughout: hulls here have a handful
+    of points, where per-call numpy overhead dominates, and float64
+    products and sums are bit-identical either way.
     """
-    pts = np.unique(points, axis=0)
+    pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    # np.unique sorts lexicographically by x then y already.
-    pairs = [(float(x), float(y)) for x, y in pts]
 
     def half(seq):
         hull: list[tuple[float, float]] = []
@@ -505,57 +504,59 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
             hull.append((px, py))
         return hull
 
-    lower = half(pairs)
-    upper = half(pairs[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
 def min_area_rect(points: list[Point] | np.ndarray) -> RotatedRect | None:
-    """Minimum-area oriented rect containing `points` (rotating calipers).
+    """Minimum-area oriented rect containing `points`: for each hull edge,
+    the bounding box of the hull projected on the edge and its normal.
 
     Parity target: `rten_imageproc::min_area_rect` call sites
     (/root/reference/ocrs/src/detection.rs:52,
     /root/reference/ocrs/src/text_items.rs:25).
+
+    Edge lengths use `np.hypot`, which can differ from `math.hypot` in
+    the last bit.
     """
     if isinstance(points, np.ndarray):
-        arr = points.astype(np.float64)
+        pts = list(map(tuple, points.astype(np.float64).tolist()))
     else:
-        arr = np.array([[p.x, p.y] for p in points], dtype=np.float64)
-    if len(arr) == 0:
+        pts = [(float(p.x), float(p.y)) for p in points]
+    if not pts:
         return None
-    hull = _convex_hull(arr)
+    hull = _convex_hull(pts)
     if len(hull) == 1:
-        return RotatedRect(Point(hull[0][0], hull[0][1]), (0.0, -1.0), 0.0, 0.0)
+        return RotatedRect(Point(*hull[0]), (0.0, -1.0), 0.0, 0.0)
     if len(hull) == 2:
-        d = hull[1] - hull[0]
-        length = float(np.hypot(d[0], d[1]))
-        center = (hull[0] + hull[1]) / 2.0
-        dirn = d / length
-        up = (dirn[1], -dirn[0])
-        return RotatedRect(Point(center[0], center[1]), up, length, 0.0)
+        (ax, ay), (bx, by) = hull
+        dx, dy = bx - ax, by - ay
+        length = float(np.hypot(dx, dy))
+        center = Point((ax + bx) / 2.0, (ay + by) / 2.0)
+        return RotatedRect(center, (dy / length, -dx / length), length, 0.0)
 
-    edges = np.roll(hull, -1, axis=0) - hull
-    lens = np.hypot(edges[:, 0], edges[:, 1])
-    valid = lens > 0
-    dirs = edges[valid] / lens[valid][:, None]
-    # Project all hull points on each edge direction and its normal.
-    # proj_d: (E, N), proj_n: (E, N)
-    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
-    proj_d = dirs @ hull.T
-    proj_n = normals @ hull.T
-    wd = proj_d.max(axis=1) - proj_d.min(axis=1)
-    hn = proj_n.max(axis=1) - proj_n.min(axis=1)
-    areas = wd * hn
-    i = int(np.argmin(areas))
-    d = dirs[i]
-    n = normals[i]
-    cd = (proj_d[i].max() + proj_d[i].min()) / 2.0
-    cn = (proj_n[i].max() + proj_n[i].min()) / 2.0
-    center = d * cd + n * cn
+    succ = hull[1:] + hull[:1]
+    ex = [bx - ax for (ax, _), (bx, _) in zip(hull, succ)]
+    ey = [by - ay for (_, ay), (_, by) in zip(hull, succ)]
+    best = None
+    for dx, dy, length in zip(ex, ey, np.hypot(ex, ey).tolist()):
+        if not length > 0:
+            continue
+        dx /= length
+        dy /= length
+        # Projections on the edge direction d and its normal (-d.y, d.x).
+        proj_d = [dx * x + dy * y for x, y in hull]
+        proj_n = [-dy * x + dx * y for x, y in hull]
+        d0, d1, n0, n1 = min(proj_d), max(proj_d), min(proj_n), max(proj_n)
+        area = (d1 - d0) * (n1 - n0)
+        if best is None or area < best[0]:
+            best = (area, dx, dy, d0, d1, n0, n1)
+    _, dx, dy, d0, d1, n0, n1 = best
+    cd = (d1 + d0) / 2.0
+    cn = (n1 + n0) / 2.0
+    center = Point(dx * cd + -dy * cn, dy * cd + dx * cn)
     # Width runs along the edge direction (perp axis), height along the
     # normal (up axis): up = (d.y, -d.x) so that perp(up) == d.
-    up = (d[1], -d[0])
-    return RotatedRect(Point(center[0], center[1]), up, float(wd[i]), float(hn[i]))
+    return RotatedRect(center, (dy, -dx), d1 - d0, n1 - n0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +575,8 @@ def simplify_polygon(points: np.ndarray, epsilon: float) -> np.ndarray:
     n = len(pts)
     if n < 3:
         return pts
+    xs, ys = pts[:, 0], pts[:, 1]
+    xl, yl = xs.tolist(), ys.tolist()
     keep = np.zeros(n, dtype=bool)
     keep[0] = keep[-1] = True
     stack = [(0, n - 1)]
@@ -581,18 +584,22 @@ def simplify_polygon(points: np.ndarray, epsilon: float) -> np.ndarray:
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        seg = pts[hi] - pts[lo]
-        seg_len = np.hypot(seg[0], seg[1])
-        mid = pts[lo + 1 : hi]
+        x0, y0 = xl[lo], yl[lo]
+        sx, sy = xl[hi] - x0, yl[hi] - y0
+        seg_len = np.hypot(sx, sy)
+        dx = xs[lo + 1 : hi] - x0
+        dy = ys[lo + 1 : hi] - y0
         if seg_len == 0:
-            dists = np.hypot(mid[:, 0] - pts[lo][0], mid[:, 1] - pts[lo][1])
+            dists = np.hypot(dx, dy)
         else:
-            # |seg x (mid - lo)| / |seg|, written out — np.cross on 2-d
-            # inputs pays moveaxis/broadcast overhead per call.
-            dx = mid[:, 0] - pts[lo][0]
-            dy = mid[:, 1] - pts[lo][1]
-            dists = np.abs(seg[0] * dy - seg[1] * dx) / seg_len
-        imax = int(np.argmax(dists))
+            # |seg x (p - lo)| / |seg| = |sx * dy - sy * dx| / |seg|,
+            # computed in place.
+            dy *= sx
+            dx *= sy
+            dy -= dx
+            dists = np.abs(dy, out=dy)
+            dists /= seg_len
+        imax = int(dists.argmax())
         if dists[imax] > epsilon:
             k = lo + 1 + imax
             keep[k] = True
