@@ -24,6 +24,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from ..pipeline import worker_value
 from .relational import MICRO, round_half_away, tree_sum
 
 __all__ = [
@@ -261,15 +262,15 @@ def lm_quality_score(
     tree-reduced combiner; the grand total is a tiny scalar aggregate.
     Strategy then follows the MEASURED counts-table size: under
     `broadcast_limit_bytes` the vocab-sized log-prob table broadcasts
-    once via ray.put and pass 2 streams the corpus through an actor
-    pool probing it (no shuffle); above it nothing vocab-sized touches
+    once via ray.put and pass 2 streams the corpus through a task
+    stage probing it (no shuffle); above it nothing vocab-sized touches
     the driver — per-doc (token, tf) rows cogroup with the distributed
     log-prob table on token, then re-aggregate per doc_id
     (`_doc_score_cogroup`). Both paths are exact and test-pinned equal
     (broadcast_limit_bytes=0 forces the cogroup). Tokens unseen in
     pass 1 cannot occur in pass 2 (same corpus, same tokenizer).
     """
-    from ocrs_ray.pipeline import cluster_ncpu, default_npart
+    from ocrs_ray.pipeline import default_npart
 
     totals = _tree_sum(
         _read_docs(sf_dir, ["text"]).map_batches(
@@ -299,33 +300,29 @@ def lm_quality_score(
         )
         ref = ray.put(logp_micro)
 
-        class Score:
-            def __init__(self, table_ref):
-                self.logp = ray.get(table_ref)
-                self.tok = re.compile(TOKEN_RE)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                ids: list[int] = []
-                ns: list[int] = []
-                sums: list[int] = []
-                for d, t in zip(df["doc_id"], df["text"]):
-                    found = self.tok.findall(t.lower())
-                    if not found:
-                        continue
-                    ids.append(int(d))
-                    ns.append(len(found))
-                    sums.append(int(sum(self.logp[w] for w in found)))
-                return pd.DataFrame(
-                    {
-                        "doc_id": pd.Series(ids, dtype="int64"),
-                        "n_tokens": pd.Series(ns, dtype="int64"),
-                        "sum_logp_micro": pd.Series(sums, dtype="int64"),
-                    }
-                )
+        def score(df: pd.DataFrame) -> pd.DataFrame:
+            logp = worker_value(ref)
+            tok = re.compile(TOKEN_RE)
+            ids: list[int] = []
+            ns: list[int] = []
+            sums: list[int] = []
+            for d, t in zip(df["doc_id"], df["text"]):
+                found = tok.findall(t.lower())
+                if not found:
+                    continue
+                ids.append(int(d))
+                ns.append(len(found))
+                sums.append(int(sum(logp[w] for w in found)))
+            return pd.DataFrame(
+                {
+                    "doc_id": pd.Series(ids, dtype="int64"),
+                    "n_tokens": pd.Series(ns, dtype="int64"),
+                    "sum_logp_micro": pd.Series(sums, dtype="int64"),
+                }
+            )
 
         return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-            Score, fn_constructor_args=(ref,), batch_format="pandas",
-            concurrency=(1, max(1, min(4, cluster_ncpu() - 2))),
+            score, batch_format="pandas"
         )
 
     # Distributed path: the log-prob table stays a Dataset.
@@ -398,7 +395,7 @@ def lm_bigram_score(
     but effectively corpus-sized on a 100-TB crawl, so the strategy
     follows the MEASURED totals size: under `broadcast_limit_bytes` the
     collapsed log-prob table broadcasts once via ray.put and pass 2
-    streams through an actor pool probing it (no shuffle); above it the
+    streams through a task stage probing it (no shuffle); above it the
     prefix-conditional log-probs compute inside one w1-keyed
     repartition and per-doc (w1, w2, tf) rows cogroup with them on the
     bigram key (`_doc_score_cogroup`) — nothing bigram-vocab-sized ever
@@ -407,7 +404,6 @@ def lm_bigram_score(
     pass 1 cannot occur in pass 2 (same corpus, same tokenizer).
     """
     from ocrs_ray.pipeline import (
-        cluster_ncpu,
         default_npart,
         enable_hash_shuffle,
     )
@@ -429,35 +425,31 @@ def lm_bigram_score(
         logp_micro = dict(zip(zip(counts["w1"], counts["w2"]), logp))
         ref = ray.put(logp_micro)
 
-        class Score:
-            def __init__(self, table_ref):
-                self.logp = ray.get(table_ref)
-                self.tok = re.compile(TOKEN_RE)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                ids: list[int] = []
-                ns: list[int] = []
-                sums: list[int] = []
-                for d, t in zip(df["doc_id"], df["text"]):
-                    found = self.tok.findall(t.lower())
-                    if len(found) < 2:
-                        continue
-                    ids.append(int(d))
-                    ns.append(len(found) - 1)
-                    sums.append(
-                        int(sum(self.logp[p] for p in zip(found, found[1:])))
-                    )
-                return pd.DataFrame(
-                    {
-                        "doc_id": pd.Series(ids, dtype="int64"),
-                        "n_bigrams": pd.Series(ns, dtype="int64"),
-                        "sum_logp_micro": pd.Series(sums, dtype="int64"),
-                    }
+        def score(df: pd.DataFrame) -> pd.DataFrame:
+            logp = worker_value(ref)
+            tok = re.compile(TOKEN_RE)
+            ids: list[int] = []
+            ns: list[int] = []
+            sums: list[int] = []
+            for d, t in zip(df["doc_id"], df["text"]):
+                found = tok.findall(t.lower())
+                if len(found) < 2:
+                    continue
+                ids.append(int(d))
+                ns.append(len(found) - 1)
+                sums.append(
+                    int(sum(logp[p] for p in zip(found, found[1:])))
                 )
+            return pd.DataFrame(
+                {
+                    "doc_id": pd.Series(ids, dtype="int64"),
+                    "n_bigrams": pd.Series(ns, dtype="int64"),
+                    "sum_logp_micro": pd.Series(sums, dtype="int64"),
+                }
+            )
 
         return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-            Score, fn_constructor_args=(ref,), batch_format="pandas",
-            concurrency=(1, max(1, min(4, cluster_ncpu() - 2))),
+            score, batch_format="pandas"
         )
 
     # Distributed path: conditional log-probs inside a w1-keyed
@@ -653,20 +645,15 @@ def tfidf_top_terms(
         df_table = df_ds.to_pandas()
         df_ref = ray.put(dict(zip(df_table["term"], df_table["df"].astype(int))))
 
-        class Scorer:
-            def __init__(self, ref):
-                self.df = ray.get(ref)
-
-            def __call__(self, batch: pd.DataFrame):
-                tf = _doc_term_tf(batch)
-                if not isinstance(tf, pd.DataFrame) or tf.empty:
-                    return _tfidf_empty()
-                tf["df"] = tf["term"].map(self.df).astype("int64")
-                return _tfidf_rank(tf, k)
+        def scorer(batch: pd.DataFrame):
+            tf = _doc_term_tf(batch)
+            if not isinstance(tf, pd.DataFrame) or tf.empty:
+                return _tfidf_empty()
+            tf["df"] = tf["term"].map(worker_value(df_ref)).astype("int64")
+            return _tfidf_rank(tf, k)
 
         return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-            Scorer, fn_constructor_args=(df_ref,), batch_format="pandas",
-            concurrency=(1, 4),
+            scorer, batch_format="pandas"
         )
 
     # Distributed path: attach df via a term-keyed tagged-union cogroup,
@@ -1352,31 +1339,6 @@ def connected_components(
     return mapping
 
 
-class _Relabel:
-    """Broadcast (node -> component root) relabel: rows keep their own
-    id as the label when absent from the map (singleton components).
-    The map ships as two sorted parallel arrays and probes via
-    searchsorted — fully vectorized; this stage runs over EVERY corpus
-    row in the cluster/survivor pipelines, so a per-row dict lookup
-    here would be the hot-loop Python the rest of the repo avoids."""
-
-    def __init__(self, ref, id_col: str):
-        nodes, roots = ray.get(ref)
-        self.nodes = nodes
-        self.roots = roots
-        self.id_col = id_col
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[self.id_col].to_numpy(dtype="int64")
-        out = ids.copy()
-        if len(self.nodes):
-            pos = np.searchsorted(self.nodes, ids)
-            pos[pos == len(self.nodes)] = 0
-            hit = self.nodes[pos] == ids
-            out[hit] = self.roots[pos[hit]]
-        return pd.DataFrame({self.id_col: ids, "cluster_id": out})
-
-
 def _sorted_star_arrays(star: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Pull a (node, root) star-map Dataset into sorted parallel numpy
     arrays for the broadcast relabel path. Caller has already verified
@@ -1489,12 +1451,25 @@ def _cluster_assign(
     star = cc_star_map(pairs)
     if star.size_bytes() <= broadcast_limit_bytes:
         map_ref = ray.put(_sorted_star_arrays(star))
-        return ids.map_batches(
-            _Relabel,
-            fn_constructor_args=(map_ref, id_col),
-            batch_format="pandas",
-            concurrency=(1, 2),
-        )
+
+        def relabel(df: pd.DataFrame) -> pd.DataFrame:
+            # Rows keep their own id as the label when absent from the
+            # map (singleton components). The map ships as two sorted
+            # parallel arrays and probes via searchsorted: this stage
+            # runs over EVERY corpus row in the cluster/survivor
+            # pipelines, so a per-row dict lookup here would be the
+            # hot-loop Python the rest of the repo avoids.
+            nodes, roots = worker_value(map_ref)
+            ids = df[id_col].to_numpy(dtype="int64")
+            out = ids.copy()
+            if len(nodes):
+                pos = np.searchsorted(nodes, ids)
+                pos[pos == len(nodes)] = 0
+                hit = nodes[pos] == ids
+                out[hit] = roots[pos[hit]]
+            return pd.DataFrame({id_col: ids, "cluster_id": out})
+
+        return ids.map_batches(relabel, batch_format="pandas")
     return _relabel_cogroup(ids, star, id_col)
 
 
@@ -1653,29 +1628,23 @@ def neardup_best_survivors(
             )
         ref = ray.put((losers, winner_doc, winner_root))
 
-        class _KeepBest:
-            def __init__(self, r):
-                self.losers, self.wdoc, self.wroot = ray.get(r)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                ids = df["doc_id"].to_numpy(dtype="int64")
-                if len(self.losers):
-                    pos = np.searchsorted(self.losers, ids)
-                    pos[pos == len(self.losers)] = 0
-                    ids = ids[self.losers[pos] != ids]
-                out = ids.copy()
-                if len(self.wdoc):
-                    pos = np.searchsorted(self.wdoc, ids)
-                    pos[pos == len(self.wdoc)] = 0
-                    hit = self.wdoc[pos] == ids
-                    out[hit] = self.wroot[pos[hit]]
-                return pd.DataFrame({"doc_id": ids, "cluster_id": out})
+        def keep_best(df: pd.DataFrame) -> pd.DataFrame:
+            losers, wdoc, wroot = worker_value(ref)
+            ids = df["doc_id"].to_numpy(dtype="int64")
+            if len(losers):
+                pos = np.searchsorted(losers, ids)
+                pos[pos == len(losers)] = 0
+                ids = ids[losers[pos] != ids]
+            out = ids.copy()
+            if len(wdoc):
+                pos = np.searchsorted(wdoc, ids)
+                pos[pos == len(wdoc)] = 0
+                hit = wdoc[pos] == ids
+                out[hit] = wroot[pos[hit]]
+            return pd.DataFrame({"doc_id": ids, "cluster_id": out})
 
         return _read_docs(sf_dir, ["doc_id"]).map_batches(
-            _KeepBest,
-            fn_constructor_args=(ref,),
-            batch_format="pandas",
-            concurrency=(1, 2),
+            keep_best, batch_format="pandas"
         )
 
     # Distributed path: nothing dup-count-sized on the driver.
@@ -1706,18 +1675,14 @@ def neardup_best_survivors(
         )
     )
 
-    class BloomProbe:
-        def __init__(self, r):
-            self.bf = ray.get(r)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return df
-            return df.loc[self.bf.contains(df["doc_id"].to_numpy(dtype="int64"))]
+    def bloom_probe(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return df
+        keep = worker_value(bloom_ref).contains(df["doc_id"].to_numpy(dtype="int64"))
+        return df.loc[keep]
 
     cand = _read_docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
-        BloomProbe, fn_constructor_args=(bloom_ref,), batch_format="pandas",
-        concurrency=(1, 2),
+        bloom_probe, batch_format="pandas"
     )
 
     # Cogroup candidate quality rows with star rows on doc_id: drops
@@ -2093,45 +2058,42 @@ def bm25_topk(
     }
     ref = ray.put((idf, avg_len, k1, b))
 
-    class Score:
-        def __init__(self, bref):
-            self.idf, self.avg_len, self.k1, self.b = ray.get(bref)
-            self.tok = re.compile(TOKEN_RE)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            out_id, out_s = [], []
-            for doc_id, text, n_chars in zip(
-                batch["doc_id"], batch["text"], batch["n_chars"]
-            ):
-                counts: dict[str, int] = {}
-                for t in self.tok.findall(text.lower()):
-                    if t in self.idf:
-                        counts[t] = counts.get(t, 0) + 1
-                if not counts:
-                    continue
-                norm = self.k1 * (1 - self.b + self.b * n_chars / self.avg_len)
-                # Sorted-term summation keeps the float total
-                # bit-identical regardless of token order in the doc
-                # (ties in the top-k then break deterministically).
-                s = sum(
-                    self.idf[t] * counts[t] * (self.k1 + 1) / (counts[t] + norm)
-                    for t in sorted(counts)
-                )
-                out_id.append(doc_id)
-                out_s.append(s)
-            return pd.DataFrame(
-                {
-                    "doc_id": np.asarray(out_id, dtype="int64"),
-                    "score": np.asarray(out_s, dtype="float64"),
-                }
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        idf, avg_len, k1, b = worker_value(ref)
+        tok = re.compile(TOKEN_RE)
+        out_id, out_s = [], []
+        for doc_id, text, n_chars in zip(
+            batch["doc_id"], batch["text"], batch["n_chars"]
+        ):
+            counts: dict[str, int] = {}
+            for t in tok.findall(text.lower()):
+                if t in idf:
+                    counts[t] = counts.get(t, 0) + 1
+            if not counts:
+                continue
+            norm = k1 * (1 - b + b * n_chars / avg_len)
+            # Sorted-term summation keeps the float total
+            # bit-identical regardless of token order in the doc
+            # (ties in the top-k then break deterministically).
+            s = sum(
+                idf[t] * counts[t] * (k1 + 1) / (counts[t] + norm)
+                for t in sorted(counts)
             )
+            out_id.append(doc_id)
+            out_s.append(s)
+        return pd.DataFrame(
+            {
+                "doc_id": np.asarray(out_id, dtype="int64"),
+                "score": np.asarray(out_s, dtype="float64"),
+            }
+        )
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["score", "doc_id"], ascending=[False, True], kind="stable")
         return df.head(k)[["doc_id", "score"]]
 
     scored = _read_docs(sf_dir, ["doc_id", "text", "n_chars"]).map_batches(
-        Score, fn_constructor_args=(ref,), batch_format="pandas", concurrency=(1, 4)
+        score, batch_format="pandas"
     )
     return (
         scored.map_batches(local_topk, batch_format="pandas")

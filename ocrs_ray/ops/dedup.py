@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..pipeline import worker_value
 from .text import TOKEN_CLASS_RE, read_documents
 
 __all__ = [
@@ -165,44 +166,35 @@ def eval_decontaminate(
     eval_set = frozenset(ev.to_pandas()["shingle"])
     ref = ray.put(eval_set)
 
-    class Probe:
-        def __init__(self, eval_ref):
-            self.shingles = ray.get(eval_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            sel = md5_bucket(df["doc_id"]) % one_in != 0
-            ids_all = df.loc[sel, "doc_id"].to_numpy(dtype="int64")
-            owners: list[int] = []
-            shingles: list[str] = []
-            for i, t in enumerate(df.loc[sel, "text"]):
-                distinct = set(_shingles(t, shingle_size))
-                owners.extend([i] * len(distinct))
-                shingles.extend(distinct)
-            if owners:
-                # One vectorized membership probe for the whole batch
-                # (C-speed hash lookups) instead of a per-doc set
-                # intersection against the big broadcast set.
-                hit = pd.Series(shingles, dtype="object").isin(self.shingles)
-                counts = np.bincount(
-                    np.asarray(owners, dtype=np.int64)[hit.to_numpy()],
-                    minlength=len(ids_all),
-                )
-            else:
-                counts = np.zeros(len(ids_all), dtype="int64")
-            keep = counts > 0
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(ids_all[keep], dtype="int64"),
-                    "n_shared": pd.Series(counts[keep], dtype="int64"),
-                }
+    def probe(df: pd.DataFrame) -> pd.DataFrame:
+        sel = md5_bucket(df["doc_id"]) % one_in != 0
+        ids_all = df.loc[sel, "doc_id"].to_numpy(dtype="int64")
+        owners: list[int] = []
+        shingles: list[str] = []
+        for i, t in enumerate(df.loc[sel, "text"]):
+            distinct = set(_shingles(t, shingle_size))
+            owners.extend([i] * len(distinct))
+            shingles.extend(distinct)
+        if owners:
+            # One vectorized membership probe for the whole batch
+            # (C-speed hash lookups) instead of a per-doc set
+            # intersection against the big broadcast set.
+            hit = pd.Series(shingles, dtype="object").isin(worker_value(ref))
+            counts = np.bincount(
+                np.asarray(owners, dtype=np.int64)[hit.to_numpy()],
+                minlength=len(ids_all),
             )
+        else:
+            counts = np.zeros(len(ids_all), dtype="int64")
+        keep = counts > 0
+        return pd.DataFrame(
+            {
+                "doc_id": pd.Series(ids_all[keep], dtype="int64"),
+                "n_shared": pd.Series(counts[keep], dtype="int64"),
+            }
+        )
 
-    from ocrs_ray.pipeline import cluster_ncpu
-
-    return docs.map_batches(
-        Probe, fn_constructor_args=(ref,), batch_format="pandas",
-        concurrency=(1, max(1, min(4, cluster_ncpu() - 2))),
-    )
+    return docs.map_batches(probe, batch_format="pandas")
 
 
 @dataclass(frozen=True)
@@ -227,7 +219,8 @@ def _shingles(text: str, k: int) -> list[str]:
 
 
 class MinHasher:
-    """Per-actor state: the permutation coefficients (built once).
+    """The permutation coefficients, built once with the stage; passed
+    to `map_batches` as an instance, so the stage runs as tasks.
 
     The hash family is multiply-shift over uint64 with natural
     wraparound (a*x + b mod 2^64) — fully vectorized numpy, ~75x faster
@@ -283,7 +276,7 @@ class MinHasher:
 def minhash_signatures(sf_dir: str, cfg: MinHashConfig | None = None) -> rd.Dataset:
     cfg = cfg or MinHashConfig()
     return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        MinHasher, fn_constructor_args=(cfg,), batch_format="pyarrow", concurrency=(1, 2)
+        MinHasher(cfg), batch_format="pyarrow"
     )
 
 
@@ -395,18 +388,14 @@ def _attach_pair_texts(
         build_bloom(pairs.map_batches(melt_ids, batch_format="pandas"), "doc_id", n_bits)
     )
 
-    class BloomProbe:
-        def __init__(self, ref):
-            self.bf = ray.get(ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return df
-            return df.loc[self.bf.contains(df["doc_id"].to_numpy(dtype="int64"))]
+    def bloom_probe(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return df
+        keep = worker_value(bloom_ref).contains(df["doc_id"].to_numpy(dtype="int64"))
+        return df.loc[keep]
 
     cand_docs = docs.map_batches(
-        BloomProbe, fn_constructor_args=(bloom_ref,), batch_format="pandas",
-        concurrency=(1, 2),
+        bloom_probe, batch_format="pandas"
     ).materialize()  # bounded by the candidate set; consumed by 2 joins
 
     if cand_docs.size_bytes() <= broadcast_limit_bytes:
@@ -417,23 +406,14 @@ def _attach_pair_texts(
             )
         texts_ref = ray.put(texts)
 
-        class AttachBroadcast:
-            def __init__(self, ref):
-                self.texts = ray.get(ref)
+        def attach_broadcast(df: pd.DataFrame) -> pd.DataFrame:
+            t = worker_value(texts_ref)
+            return df.assign(
+                text_a=[t[a] for a in df["doc_a"]],
+                text_b=[t[b] for b in df["doc_b"]],
+            )
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                t = self.texts
-                return df.assign(
-                    text_a=[t[a] for a in df["doc_a"]],
-                    text_b=[t[b] for b in df["doc_b"]],
-                )
-
-        return pairs.map_batches(
-            AttachBroadcast,
-            fn_constructor_args=(texts_ref,),
-            batch_format="pandas",
-            concurrency=(1, 2),
-        )
+        return pairs.map_batches(attach_broadcast, batch_format="pandas")
 
     j1 = pairs.join(
         cand_docs, join_type="inner", num_partitions=npart,
@@ -683,36 +663,27 @@ def _expand_rep_pairs(
         def _single(x):
             return np.asarray([int(x)], dtype=np.int64)
 
-        class ExpandBroadcast:
-            def __init__(self, ref):
-                self.groups = ray.get(ref)
+        def expand_broadcast(df: pd.DataFrame) -> pd.DataFrame:
+            if df.empty:
+                return empty_out()
+            g = worker_value(ref)
+            ma = [g.get(int(a), _single(a)) for a in df["doc_a"]]
+            mb = [g.get(int(b), _single(b)) for b in df["doc_b"]]
+            na = np.array([len(x) for x in ma])
+            nb = np.array([len(x) for x in mb])
+            reps = na * nb
+            a_out = np.concatenate(
+                [np.repeat(x, len(y)) for x, y in zip(ma, mb)]
+            )
+            b_out = np.concatenate(
+                [np.tile(y, len(x)) for x, y in zip(ma, mb)]
+            )
+            out = pd.DataFrame({"doc_a": a_out, "doc_b": b_out})
+            for name in extra_cols:
+                out[name] = np.repeat(df[name].to_numpy(), reps)
+            return order_ab(out)
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                if df.empty:
-                    return empty_out()
-                g = self.groups
-                ma = [g.get(int(a), _single(a)) for a in df["doc_a"]]
-                mb = [g.get(int(b), _single(b)) for b in df["doc_b"]]
-                na = np.array([len(x) for x in ma])
-                nb = np.array([len(x) for x in mb])
-                reps = na * nb
-                a_out = np.concatenate(
-                    [np.repeat(x, len(y)) for x, y in zip(ma, mb)]
-                )
-                b_out = np.concatenate(
-                    [np.tile(y, len(x)) for x, y in zip(ma, mb)]
-                )
-                out = pd.DataFrame({"doc_a": a_out, "doc_b": b_out})
-                for name in extra_cols:
-                    out[name] = np.repeat(df[name].to_numpy(), reps)
-                return order_ab(out)
-
-        out = pairs.map_batches(
-            ExpandBroadcast,
-            fn_constructor_args=(ref,),
-            batch_format="pandas",
-            concurrency=(1, 2),
-        )
+        out = pairs.map_batches(expand_broadcast, batch_format="pandas")
         enable_hash_shuffle(out)
         return out
 
@@ -1002,12 +973,7 @@ def minhash_lsh_pairs(
     cfg = cfg or MinHashConfig()
     docs = documents if documents is not None else read_documents(sf_dir, ["doc_id", "text"])
 
-    sigs = docs.map_batches(
-        MinHasher,
-        fn_constructor_args=(cfg, collapse_exact),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+    sigs = docs.map_batches(MinHasher(cfg, collapse_exact), batch_format="pyarrow")
     bands = sigs.map_batches(
         _band_rows, fn_kwargs={"cfg": cfg}, batch_format="pyarrow"
     )
@@ -1642,15 +1608,12 @@ def snapshot_new_texts(
             }
         )
 
-    # Bloom probes run as STATELESS task UDFs, not actor pools: three
-    # concurrent pools would eat the small-fixture CPU budget (see the
-    # CLAUDE.md deadlock note), and ray.get of the broadcast filter is
-    # zero-copy from the local object store per task.
+    # Bloom probes run as STATELESS task UDFs like every ops stage,
+    # reading the broadcast filter once per worker process.
     def _route_b(df: pd.DataFrame, ref=None, keep_hits=True):
         if df.empty:
             return _empty_b()
-        bf = ray.get(ref)
-        hit = bf.contains(df["h64"].to_numpy())
+        hit = worker_value(ref).contains(df["h64"].to_numpy())
         out = df.loc[hit if keep_hits else ~hit]
         return out.reset_index(drop=True) if len(out) else _empty_b()
 
@@ -1680,8 +1643,7 @@ def snapshot_new_texts(
         """Keep A digests that might collide with B, tagged side=0."""
         if df.empty:
             return _empty_tagged()
-        bf = ray.get(ref)
-        keep = df.loc[bf.contains(df["h64"].to_numpy())]
+        keep = df.loc[worker_value(ref).contains(df["h64"].to_numpy())]
         if keep.empty:
             return _empty_tagged()
         return pd.DataFrame(
@@ -2063,7 +2025,7 @@ class _DedupShard:
     atomic per actor (Ray actors process calls serially), so exactly
     one caller wins each key. num_cpus=0: the shards are memory
     holders that serve sub-millisecond set probes — giving them CPU
-    slots would starve the claiming pool on small clusters (the
+    slots would starve the claiming tasks on small clusters (the
     CPU-budget deadlock)."""
 
     def __init__(self):
@@ -2100,42 +2062,32 @@ def streaming_dedup_filter(sf_dir: str, n_shards: int = 4) -> rd.Dataset:
 
     Scale notes: shard count bounds per-actor memory (keys/shard =
     distinct/n_shards; 16 B md5 keys -> ~1e9 keys per 16 GiB shard) and
-    call fan-in; `concurrency` on the claiming stage is kept modest so
-    the actor round-trips pipeline with the read instead of convoying.
+    call fan-in; the claiming stage runs as tasks, each batch sending
+    one claim call per shard it touches, so claims pipeline with the
+    read.
     """
     shards = [_DedupShard.remote() for _ in range(n_shards)]
 
-    class Claim:
-        def __init__(self, shard_handles):
-            self.shards = shard_handles
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if batch.empty:
-                return batch
-            keys = [
-                hashlib.md5(t.encode()).digest() for t in batch["text"]
-            ]
-            shard_of = [k[0] % len(self.shards) for k in keys]
-            keep = np.zeros(len(keys), dtype=bool)
-            per_shard: dict[int, list[int]] = {}
-            for i, sh in enumerate(shard_of):
-                per_shard.setdefault(sh, []).append(i)
-            refs = {
-                sh: self.shards[sh].claim.remote([keys[i] for i in idxs])
-                for sh, idxs in per_shard.items()
-            }
-            for sh, idxs in per_shard.items():
-                won = ray.get(refs[sh])
-                keep[idxs] = won
-            return batch.loc[keep]
-
-    from ocrs_ray.pipeline import cluster_ncpu
+    def claim(batch: pd.DataFrame) -> pd.DataFrame:
+        if batch.empty:
+            return batch
+        keys = [hashlib.md5(t.encode()).digest() for t in batch["text"]]
+        shard_of = [k[0] % len(shards) for k in keys]
+        keep = np.zeros(len(keys), dtype=bool)
+        per_shard: dict[int, list[int]] = {}
+        for i, sh in enumerate(shard_of):
+            per_shard.setdefault(sh, []).append(i)
+        refs = {
+            sh: shards[sh].claim.remote([keys[i] for i in idxs])
+            for sh, idxs in per_shard.items()
+        }
+        for sh, idxs in per_shard.items():
+            won = ray.get(refs[sh])
+            keep[idxs] = won
+        return batch.loc[keep]
 
     return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        Claim,
-        fn_constructor_args=(shards,),
-        batch_format="pandas",
-        concurrency=(1, max(1, min(4, cluster_ncpu() - 2))),
+        claim, batch_format="pandas"
     )
 
 

@@ -2224,15 +2224,6 @@ def _link_edges(sf_dir: str) -> rd.Dataset:
     return links.map_batches(parse, batch_format="pyarrow")
 
 
-#: Per-worker-process cache of fetched stationary blocks (pagerank's
-#: edge/node partitions), keyed by the object refs' hex ids. Blocks
-#: are immutable for a run, so reused workers skip the arrow->pandas
-#: conversion on every later round. Capped — one entry is one
-#: partition frame, which must fit in worker heap anyway (the same
-#: contract as every per-block keyed op here).
-_PR_BLOCK_CACHE: dict = {}
-
-
 def _pb_of(ids: np.ndarray, npart: int) -> np.ndarray:
     """Partition bucket of a node id: fixed-key siphash (pandas
     util.hash_array — process-deterministic) mod npart. One function
@@ -2245,24 +2236,15 @@ def _pb_of(ids: np.ndarray, npart: int) -> np.ndarray:
     )
 
 
-def _fetch_block_frame(refs) -> "object":
-    """ray.get + concat + to_pandas for a set of stationary block
-    refs, memoized per worker process (see _PR_BLOCK_CACHE)."""
-    import ray
-
-    key = tuple(sorted(r.hex() for r in refs))
-    df = _PR_BLOCK_CACHE.get(key)
-    if df is None:
-        tbls = [
-            t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-            for t in ray.get(list(refs))
-        ]
-        tbl = pa.concat_tables(tbls) if len(tbls) > 1 else tbls[0]
-        df = tbl.to_pandas()
-        if len(_PR_BLOCK_CACHE) >= 4:
-            _PR_BLOCK_CACHE.clear()
-        _PR_BLOCK_CACHE[key] = df
-    return df
+def _block_frame(blocks: list) -> "object":
+    """Concat + to_pandas of fetched stationary blocks (pagerank's
+    edge/node partitions); the `worker_value` conversion, so reused
+    workers skip it on every later round."""
+    tbls = [
+        t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
+        for t in blocks
+    ]
+    return (pa.concat_tables(tbls) if len(tbls) > 1 else tbls[0]).to_pandas()
 
 
 def docs_link_pagerank(
@@ -2320,6 +2302,7 @@ def docs_link_pagerank(
     from ocrs_ray.pipeline import (
         default_npart,
         enable_hash_shuffle,
+        worker_value,
     )
 
     # default bucket count suits the test scales; at real scale pass
@@ -2558,7 +2541,7 @@ def docs_link_pagerank(
         }
         if not refs:
             return _contrib_empty()
-        e = _fetch_block_frame(refs)
+        e = worker_value(refs, _block_frame)
         m = e.merge(
             pd.DataFrame(
                 {
@@ -2602,7 +2585,7 @@ def docs_link_pagerank(
         }
         if not refs:
             return _rank_empty()
-        nf = _fetch_block_frame(refs)
+        nf = worker_value(refs, _block_frame)
         nf = nf[np.isin(nf["pb"].to_numpy(), pbs)]
         if nf.empty:
             return _rank_empty()

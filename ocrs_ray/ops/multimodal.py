@@ -3,8 +3,8 @@ frame-sample over opaque binary media payloads.
 
 Media rows are (media_ref, image: binary, height, width, channels,
 format) — the typed-metadata-plus-opaque-binary layout the 100 TB
-corpus uses (SURVEY.md §1.2). All stages are actor-pool `map_batches`
-so per-actor state (codec tables, resize kernels) builds once.
+corpus uses (SURVEY.md §1.2). Every stage is a task stage: a function
+or a callable instance whose state (options) builds once with the stage.
 
 Codec support in this container:
 - "raw8-hwc" decodes for real (numpy frombuffer, zero parsing);
@@ -17,7 +17,7 @@ Codec support in this container:
 - audio is WAV, decoded by the pure-numpy codec (`ocrs_ray.wav`) for
   `audio_features`; `video_frame_sample` decodes animated WebP for
   real and documents a deterministic fake frame stream for raw8 so the
-  distributed shape (actor pool, per-row fan-out to frame rows) is
+  distributed shape (per-row fan-out to frame rows) is
   real and tested for container formats this sandbox lacks.
 """
 
@@ -28,7 +28,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from ..pipeline import decode_media
+from ..pipeline import decode_media, worker_value
 from ..resize import resize_bilinear
 
 __all__ = [
@@ -71,7 +71,7 @@ def _payloads(batch: pa.Table):
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: decode + per-image feature vector.
+    """Task stage: decode + per-image feature vector.
 
     Features are plain numpy stats (mean/std/edge density/aspect) —
     deterministic, no model weights; a real embedding model drops into
@@ -104,15 +104,14 @@ class MediaFeatureExtractor:
 
 def media_features(media_path: str) -> rd.Dataset:
     return read_media(media_path).map_batches(
-        MediaFeatureExtractor,
+        MediaFeatureExtractor(),
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=(1, 4),
     )
 
 
 class MediaThumbnailer:
-    """Actor-pool stage: decode -> bilinear resize -> re-encode raw8.
+    """Task stage: decode -> bilinear resize -> re-encode raw8.
 
     Output rows keep the opaque-binary + typed-metadata layout so the
     thumbnail table is itself a valid media table (composable).
@@ -153,16 +152,14 @@ class MediaThumbnailer:
 
 def media_thumbnails(media_path: str, out_h: int = 32, out_w: int = 32) -> rd.Dataset:
     return read_media(media_path).map_batches(
-        MediaThumbnailer,
-        fn_constructor_args=(out_h, out_w),
+        MediaThumbnailer(out_h, out_w),
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=(1, 4),
     )
 
 
 class MediaWebpTranscoder:
-    """Actor-pool stage: decode -> lossy-WebP (VP8 keyframe) re-encode
+    """Task stage: decode -> lossy-WebP (VP8 keyframe) re-encode
     -> decode back; emits the transcoded payload plus compression /
     fidelity accounting. The media-normalization stage a 100-TB corpus
     runs to standardize heterogeneous crawled payloads onto one codec:
@@ -170,7 +167,7 @@ class MediaWebpTranscoder:
     transcoded table is itself a valid media table (composable with
     every other media op).
 
-    Scale shape: stateless per-row codec work in an actor pool, no
+    Scale shape: stateless per-row codec work in a task stage, no
     shuffle; payload-heavy rows ride small batches. Deterministic
     (pure-integer codec), so the whole row is value-reproducible.
     """
@@ -236,16 +233,14 @@ class MediaWebpTranscoder:
 
 def media_webp_transcode(media_path: str, q_index: int = 8) -> rd.Dataset:
     return read_media(media_path).map_batches(
-        MediaWebpTranscoder,
-        fn_constructor_args=(q_index,),
+        MediaWebpTranscoder(q_index),
         batch_format="pyarrow",
         batch_size=32,
-        concurrency=(1, 4),
     )
 
 
 class VideoFrameSampler:
-    """Actor-pool stage: one video row -> N sampled frame rows.
+    """Task stage: one video row -> N sampled frame rows.
 
     Animated WebP is decoded FOR REAL (`ocrs_ray.webp.decode_webp_frames`
     composites ANMF frames with libwebp's WebPAnimDecoder semantics) and
@@ -301,11 +296,9 @@ class VideoFrameSampler:
 
 def video_frame_sample(media_path: str, n_frames: int = 4) -> rd.Dataset:
     return read_media(media_path).map_batches(
-        VideoFrameSampler,
-        fn_constructor_args=(n_frames,),
+        VideoFrameSampler(n_frames),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=(1, 4),
     )
 
 
@@ -352,7 +345,7 @@ _AUDIO_FEATURE_COLS = (
 
 
 class AudioFeatureExtractor:
-    """Actor-pool stage: RIFF/WAVE decode (pure-numpy `ocrs_ray.wav`)
+    """Task stage: RIFF/WAVE decode (pure-numpy `ocrs_ray.wav`)
     -> per-clip feature kernel. Per-clip Python is bounded (one decode
     + a handful of vectorized numpy reductions per row); payload bytes
     stay in Arrow buffers until the decode."""
@@ -385,10 +378,9 @@ def audio_features(audio_path: str) -> rd.Dataset:
     return rd.read_parquet(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
-        AudioFeatureExtractor,
+        AudioFeatureExtractor(),
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=(1, 4),
     )
 
 
@@ -419,7 +411,7 @@ def audio_content_dedup(audio_path: str, partitions: int = 8) -> rd.Dataset:
     misses them all — re-encoding is the most common dup vector in
     crawled audio). Survivor = min media_ref per content key.
 
-    Scale shape: per-batch decode+fingerprint in an actor pool, then
+    Scale shape: per-batch decode+fingerprint in a task stage, then
     ONE keyed exchange of (key, ref) pairs only — payload bytes never
     shuffle; per-partition vectorized min. Same shape as dedup_exact.
     """
@@ -428,24 +420,23 @@ def audio_content_dedup(audio_path: str, partitions: int = 8) -> rd.Dataset:
     from ..pipeline import enable_hash_shuffle
     from ..wav import decode_wav
 
-    class Fingerprint:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            refs = batch.column("media_ref").to_pylist()
-            keys = []
-            for blob in batch.column("audio").to_pylist():
-                samples, rate, bits = decode_wav(blob)
-                keys.append(audio_content_key(samples, rate, bits))
-            return pa.table(
-                {
-                    "media_ref": pa.array(refs, type=pa.string()),
-                    "content_key": pa.array(keys, type=pa.string()),
-                }
-            )
+    def fingerprint(batch: pa.Table) -> pa.Table:
+        refs = batch.column("media_ref").to_pylist()
+        keys = []
+        for blob in batch.column("audio").to_pylist():
+            samples, rate, bits = decode_wav(blob)
+            keys.append(audio_content_key(samples, rate, bits))
+        return pa.table(
+            {
+                "media_ref": pa.array(refs, type=pa.string()),
+                "content_key": pa.array(keys, type=pa.string()),
+            }
+        )
 
     keyed = rd.read_parquet(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
-        Fingerprint, batch_format="pyarrow", batch_size=128, concurrency=(1, 4)
+        fingerprint, batch_format="pyarrow", batch_size=128
     )
     enable_hash_shuffle(keyed)
 
@@ -520,42 +511,40 @@ def audio_resample(audio_path: str, dst_rate: int = 16000) -> rd.Dataset:
     """Resample every clip to mono PCM16 at `dst_rate`; emits the
     re-encoded WAV digest + frame counts (blob reduced to md5 for a
     stable driver row, same convention as thumbnails). Stateless
-    per-clip map in an actor pool — no shuffle."""
+    per-clip map in a task stage — no shuffle."""
     import hashlib
 
     from ..wav import decode_wav
 
-    class Resampler:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            refs = batch.column("media_ref").to_pylist()
-            digests, frames = [], []
-            for blob in batch.column("audio").to_pylist():
-                samples, rate, bits = decode_wav(blob)
-                wav, n = audio_resample_values(samples, rate, bits, dst_rate)
-                digests.append(hashlib.md5(wav).hexdigest())
-                frames.append(n)
-            return pa.table(
-                {
-                    "media_ref": pa.array(refs, type=pa.string()),
-                    "dst_rate": pa.array([dst_rate] * len(refs), type=pa.int64()),
-                    "n_frames": pa.array(frames, type=pa.int64()),
-                    "wav_md5": pa.array(digests, type=pa.string()),
-                }
-            )
+    def resample(batch: pa.Table) -> pa.Table:
+        refs = batch.column("media_ref").to_pylist()
+        digests, frames = [], []
+        for blob in batch.column("audio").to_pylist():
+            samples, rate, bits = decode_wav(blob)
+            wav, n = audio_resample_values(samples, rate, bits, dst_rate)
+            digests.append(hashlib.md5(wav).hexdigest())
+            frames.append(n)
+        return pa.table(
+            {
+                "media_ref": pa.array(refs, type=pa.string()),
+                "dst_rate": pa.array([dst_rate] * len(refs), type=pa.int64()),
+                "n_frames": pa.array(frames, type=pa.int64()),
+                "wav_md5": pa.array(digests, type=pa.string()),
+            }
+        )
 
     return rd.read_parquet(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
-        Resampler, batch_format="pyarrow", batch_size=128, concurrency=(1, 4)
+        resample, batch_format="pyarrow", batch_size=128
     )
 
 
 class MediaAHasher:
-    """Actor-pool stage: decode -> 8x8 bilinear downscale -> 64-bit
+    """Task stage: decode -> 8x8 bilinear downscale -> 64-bit
     average hash (aHash: bit i = pixel_i > mean) — the standard
-    perceptual fingerprint for image dedup; resize kernel state lives
-    per actor. Deterministic, codec-free (same raw8 contract as the
-    thumbnailer)."""
+    perceptual fingerprint for image dedup. Deterministic, codec-free
+    (same raw8 contract as the thumbnailer)."""
 
     BITS = 64
 
@@ -581,7 +570,7 @@ class MediaAHasher:
 
 def media_ahash(media_path: str) -> rd.Dataset:
     return read_media(media_path).map_batches(
-        MediaAHasher, batch_format="pyarrow", batch_size=128, concurrency=(1, 4)
+        MediaAHasher(), batch_format="pyarrow", batch_size=128
     )
 
 
@@ -767,22 +756,16 @@ def media_ahash_survivors(
         idx = {r: i for i, r in enumerate(inv)}
         idx_ref = ray.put(idx)
 
-        class Encode:
-            def __init__(self, ref):
-                self.idx = ray.get(ref)
+        def encode(df: pd.DataFrame) -> pd.DataFrame:
+            idx = worker_value(idx_ref)
+            return pd.DataFrame(
+                {
+                    "u": df["media_a"].map(idx).to_numpy(dtype="int64"),
+                    "v": df["media_b"].map(idx).to_numpy(dtype="int64"),
+                }
+            )
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame(
-                    {
-                        "u": df["media_a"].map(self.idx).to_numpy(dtype="int64"),
-                        "v": df["media_b"].map(self.idx).to_numpy(dtype="int64"),
-                    }
-                )
-
-        edges = pairs.map_batches(
-            Encode, fn_constructor_args=(idx_ref,), batch_format="pandas",
-            concurrency=(1, 2),
-        )
+        edges = pairs.map_batches(encode, batch_format="pandas")
         mapping = connected_components(edges)
         # Losers = non-root members; int order == lex order under the
         # dense sorted encoding, so the min-int root is the lex-min
@@ -792,22 +775,15 @@ def media_ahash_survivors(
             frozenset(inv[n] for n, m in mapping.items() if n != m)
         )
 
-        class DropLosers:
-            def __init__(self, ref):
-                self.losers = ray.get(ref)
-
-            def __call__(self, df: pd.DataFrame):
-                refs = df["media_ref"]
-                kept = refs[~refs.isin(self.losers)].to_numpy()
-                if len(kept) == 0:
-                    return _empty_refs()
-                return pd.DataFrame({"media_ref": kept})
+        def drop_losers(df: pd.DataFrame):
+            refs = df["media_ref"]
+            kept = refs[~refs.isin(worker_value(losers_ref))].to_numpy()
+            if len(kept) == 0:
+                return _empty_refs()
+            return pd.DataFrame({"media_ref": kept})
 
         return rd.read_parquet(media_path, columns=["media_ref"]).map_batches(
-            DropLosers,
-            fn_constructor_args=(losers_ref,),
-            batch_format="pandas",
-            concurrency=(1, 2),
+            drop_losers, batch_format="pandas"
         )
 
     # --- distributed path: nothing ref-count-sized on the driver ---

@@ -16,6 +16,8 @@ import pandas as pd
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..pipeline import worker_value
+
 __all__ = [
     "events_tumbling_window",
     "events_hopping_window",
@@ -268,27 +270,23 @@ def orders_customer_join(sf_dir: str) -> rd.Dataset:
     )
     lookup_ref = ray.put(lookup)
 
-    class Probe:
-        def __init__(self, ref):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            nation = batch["o_custkey"].map(self.lookup)
-            df = pd.DataFrame(
-                {
-                    "c_nationkey": nation.astype("int64"),
-                    "sum_total_micro": round_half_away(
-                        batch["o_totalprice"].to_numpy() * MICRO
-                    ).astype("int64"),
-                    "n_orders": np.ones(len(batch), dtype="int64"),
-                }
-            )
-            return df.groupby("c_nationkey", as_index=False).sum()
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        lookup = worker_value(lookup_ref)
+        nation = batch["o_custkey"].map(lookup)
+        df = pd.DataFrame(
+            {
+                "c_nationkey": nation.astype("int64"),
+                "sum_total_micro": round_half_away(
+                    batch["o_totalprice"].to_numpy() * MICRO
+                ).astype("int64"),
+                "n_orders": np.ones(len(batch), dtype="int64"),
+            }
+        )
+        return df.groupby("c_nationkey", as_index=False).sum()
 
     ds = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    ).map_batches(Probe, fn_constructor_args=(lookup_ref,), batch_format="pandas",
-                  concurrency=(1, 4))
+    ).map_batches(probe, batch_format="pandas")
     # Nation keys are bounded (25) regardless of order volume -> the
     # partials tree-reduce; no hash-aggregate machinery.
     return tree_sum(ds, ["c_nationkey"], ["sum_total_micro", "n_orders"])
@@ -489,24 +487,19 @@ def q3_top_orders(
     )
     keys_ref = ray.put(keys)
 
-    class SemiFilter:
-        def __init__(self, ref):
-            self.keys = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            sel = batch["o_custkey"].isin(self.keys) & (
-                batch["o_orderdate"] < cutoff_ts
-            )
-            out = batch.loc[sel, ["o_orderkey", "o_orderdate"]]
-            return out.assign(
-                o_orderdate_us=out["o_orderdate"].astype("int64")
-            )[["o_orderkey", "o_orderdate_us"]]
+    def semi_filter(batch: pd.DataFrame) -> pd.DataFrame:
+        sel = batch["o_custkey"].isin(worker_value(keys_ref)) & (
+            batch["o_orderdate"] < cutoff_ts
+        )
+        out = batch.loc[sel, ["o_orderkey", "o_orderdate"]]
+        return out.assign(
+            o_orderdate_us=out["o_orderdate"].astype("int64")
+        )[["o_orderkey", "o_orderdate_us"]]
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(SemiFilter, fn_constructor_args=(keys_ref,),
-                  batch_format="pandas", concurrency=(1, 2))
+    ).map_batches(semi_filter, batch_format="pandas")
 
     def line_partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch[batch["l_shipdate"] > cutoff_ts]
@@ -941,18 +934,13 @@ def inactive_customers(sf_dir: str, since: str = "2001-01-01") -> rd.Dataset:
     )
     keys_ref = ray.put(frozenset(recent))
 
-    class AntiProbe:
-        def __init__(self, ref):
-            self.keys = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            sel = ~batch["c_custkey"].isin(self.keys)
-            return batch.loc[sel, ["c_custkey", "c_name"]]
+    def anti_probe(batch: pd.DataFrame) -> pd.DataFrame:
+        sel = ~batch["c_custkey"].isin(worker_value(keys_ref))
+        return batch.loc[sel, ["c_custkey", "c_name"]]
 
     return rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    ).map_batches(AntiProbe, fn_constructor_args=(keys_ref,),
-                  batch_format="pandas", concurrency=(1, 2))
+    ).map_batches(anti_probe, batch_format="pandas")
 
 
 def inactive_customers_anti_join(
@@ -1025,26 +1013,22 @@ def supplier_region_rollup(sf_dir: str) -> rd.Dataset:
     }
     lookup_ref = ray.put(nat_to_region)
 
-    class Probe:
-        def __init__(self, ref):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            df = pd.DataFrame(
-                {
-                    "r_name": batch["s_nationkey"].map(self.lookup),
-                    "sum_acctbal_micro": round_half_away(
-                        batch["s_acctbal"].to_numpy() * MICRO
-                    ).astype("int64"),
-                    "n_suppliers": np.ones(len(batch), dtype="int64"),
-                }
-            )
-            return df.groupby("r_name", as_index=False).sum()
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        lookup = worker_value(lookup_ref)
+        df = pd.DataFrame(
+            {
+                "r_name": batch["s_nationkey"].map(lookup),
+                "sum_acctbal_micro": round_half_away(
+                    batch["s_acctbal"].to_numpy() * MICRO
+                ).astype("int64"),
+                "n_suppliers": np.ones(len(batch), dtype="int64"),
+            }
+        )
+        return df.groupby("r_name", as_index=False).sum()
 
     ds = rd.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
-    ).map_batches(Probe, fn_constructor_args=(lookup_ref,), batch_format="pandas",
-                  concurrency=(1, 2))
+    ).map_batches(probe, batch_format="pandas")
     # The region key space is bounded (5 regions) regardless of fact
     # rows, so the partials tree-reduce — no hash-aggregate machinery.
     return tree_sum(ds, ["r_name"], ["sum_acctbal_micro", "n_suppliers"])
@@ -1378,30 +1362,24 @@ def part_type_revenue(sf_dir: str) -> rd.Dataset:
         dict(zip(part.column("p_partkey").to_pylist(), part.column("p_type").to_pylist()))
     )
 
-    class Probe:
-        def __init__(self, ref):
-            self.lookup = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            rev = batch["l_extendedprice"].to_numpy() * (
-                1.0 - batch["l_discount"].to_numpy()
-            )
-            df = pd.DataFrame(
-                {
-                    "p_type": batch["l_partkey"].map(self.lookup),
-                    "sum_revenue_micro": round_half_away(rev * MICRO).astype("int64"),
-                    "n_items": np.ones(len(batch), dtype="int64"),
-                }
-            )
-            return df.groupby("p_type", as_index=False).sum()
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        lookup = worker_value(lookup_ref)
+        rev = batch["l_extendedprice"].to_numpy() * (
+            1.0 - batch["l_discount"].to_numpy()
+        )
+        df = pd.DataFrame(
+            {
+                "p_type": batch["l_partkey"].map(lookup),
+                "sum_revenue_micro": round_half_away(rev * MICRO).astype("int64"),
+                "n_items": np.ones(len(batch), dtype="int64"),
+            }
+        )
+        return df.groupby("p_type", as_index=False).sum()
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount"],
-    ).map_batches(
-        Probe, fn_constructor_args=(lookup_ref,), batch_format="pandas",
-        concurrency=(1, 4),
-    )
+    ).map_batches(probe, batch_format="pandas")
     # p_type is a closed vocabulary (150 combinations in TPC-H),
     # bounded by the schema rather than the row count -> tree-reduce.
     return tree_sum(ds, ["p_type"], ["sum_revenue_micro", "n_items"])
@@ -1567,60 +1545,48 @@ def q5_local_supplier_revenue(
     }
     supp_ref, cust_ref = ray.put(supp_nation), ray.put(cust_nation)
 
-    class OrderProbe:
-        def __init__(self, ref):
-            self.cust_nation = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            sel = (batch["o_orderdate"] >= t_from) & (batch["o_orderdate"] < t_to)
-            b = batch.loc[sel]
-            cn = b["o_custkey"].map(self.cust_nation)
-            keep = cn.notna()
-            return pd.DataFrame(
-                {
-                    "o_orderkey": b.loc[keep, "o_orderkey"].to_numpy(),
-                    "c_nationkey": cn[keep].astype("int64").to_numpy(),
-                }
-            )
+    def order_probe(batch: pd.DataFrame) -> pd.DataFrame:
+        cust_nation = worker_value(cust_ref)
+        sel = (batch["o_orderdate"] >= t_from) & (batch["o_orderdate"] < t_to)
+        b = batch.loc[sel]
+        cn = b["o_custkey"].map(cust_nation)
+        keep = cn.notna()
+        return pd.DataFrame(
+            {
+                "o_orderkey": b.loc[keep, "o_orderkey"].to_numpy(),
+                "c_nationkey": cn[keep].astype("int64").to_numpy(),
+            }
+        )
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(
-        OrderProbe, fn_constructor_args=(cust_ref,), batch_format="pandas",
-        concurrency=(1, 2),
-    )
+    ).map_batches(order_probe, batch_format="pandas")
 
-    class LinePartial:
-        def __init__(self, ref):
-            self.supp_nation = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            sn = batch["l_suppkey"].map(self.supp_nation)
-            keep = sn.notna()
-            b = batch.loc[keep]
-            rev = round_half_away(
-                (b["l_extendedprice"] * (1.0 - b["l_discount"])).to_numpy() * MICRO
-            ).astype("int64")
-            df = pd.DataFrame(
-                {
-                    "l_orderkey": b["l_orderkey"].to_numpy(),
-                    "s_nationkey": sn[keep].astype("int64").to_numpy(),
-                    "revenue_micro": rev,
-                    "n_items": np.ones(len(b), dtype="int64"),
-                }
-            )
-            return df.groupby(
-                ["l_orderkey", "s_nationkey"], as_index=False
-            )[["revenue_micro", "n_items"]].sum()
+    def line_partial(batch: pd.DataFrame) -> pd.DataFrame:
+        supp_nation = worker_value(supp_ref)
+        sn = batch["l_suppkey"].map(supp_nation)
+        keep = sn.notna()
+        b = batch.loc[keep]
+        rev = round_half_away(
+            (b["l_extendedprice"] * (1.0 - b["l_discount"])).to_numpy() * MICRO
+        ).astype("int64")
+        df = pd.DataFrame(
+            {
+                "l_orderkey": b["l_orderkey"].to_numpy(),
+                "s_nationkey": sn[keep].astype("int64").to_numpy(),
+                "revenue_micro": rev,
+                "n_items": np.ones(len(b), dtype="int64"),
+            }
+        )
+        return df.groupby(
+            ["l_orderkey", "s_nationkey"], as_index=False
+        )[["revenue_micro", "n_items"]].sum()
 
     lineitem = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(
-        LinePartial, fn_constructor_args=(supp_ref,), batch_format="pandas",
-        concurrency=(1, 2),
-    )
+    ).map_batches(line_partial, batch_format="pandas")
 
     joined = orders.join(
         lineitem,
@@ -1718,30 +1684,24 @@ def q18_large_orders(sf_dir: str, threshold: int = 250) -> rd.Dataset:
     qualifying = qualifying.materialize()
     bloom_ref = ray.put(build_bloom(qualifying, "l_orderkey"))
 
-    class OrdersProj:
-        def __init__(self, ref):
-            self.bf = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            keep = self.bf.contains(batch["o_orderkey"].to_numpy())
-            b = batch.loc[keep]
-            return pd.DataFrame(
-                {
-                    "o_orderkey": b["o_orderkey"].to_numpy(),
-                    "o_custkey": b["o_custkey"].to_numpy(),
-                    "total_micro": round_half_away(
-                        b["o_totalprice"].to_numpy(dtype="float64") * MICRO
-                    ).astype("int64"),
-                }
-            )
+    def orders_proj(batch: pd.DataFrame) -> pd.DataFrame:
+        bf = worker_value(bloom_ref)
+        keep = bf.contains(batch["o_orderkey"].to_numpy())
+        b = batch.loc[keep]
+        return pd.DataFrame(
+            {
+                "o_orderkey": b["o_orderkey"].to_numpy(),
+                "o_custkey": b["o_custkey"].to_numpy(),
+                "total_micro": round_half_away(
+                    b["o_totalprice"].to_numpy(dtype="float64") * MICRO
+                ).astype("int64"),
+            }
+        )
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    ).map_batches(
-        OrdersProj, fn_constructor_args=(bloom_ref,),
-        batch_format="pandas", concurrency=(1, 2),
-    )
+    ).map_batches(orders_proj, batch_format="pandas")
     customer = rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
@@ -2281,21 +2241,17 @@ def events_value_mad(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     )
     med_ref = ray.put(dict(zip(medians["event_type"], medians["median_micro"])))
 
-    class AbsDev:
-        def __init__(self, ref):
-            self.med = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            b = to_micro(batch)
-            med = b["event_type"].map(self.med).to_numpy(dtype="int64")
-            return pd.DataFrame(
-                {
-                    "event_type": b["event_type"].to_numpy(),
-                    "abs_dev_micro": np.abs(
-                        b["value_micro"].to_numpy() - med
-                    ).astype("int64"),
-                }
-            )
+    def abs_dev(batch: pd.DataFrame) -> pd.DataFrame:
+        b = to_micro(batch)
+        med = b["event_type"].map(worker_value(med_ref)).to_numpy(dtype="int64")
+        return pd.DataFrame(
+            {
+                "event_type": b["event_type"].to_numpy(),
+                "abs_dev_micro": np.abs(
+                    b["value_micro"].to_numpy() - med
+                ).astype("int64"),
+            }
+        )
 
     def pass2(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -2310,10 +2266,7 @@ def events_value_mad(sf_dir: str, partitions: int = 8) -> rd.Dataset:
 
     ds2 = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    ).map_batches(
-        AbsDev, fn_constructor_args=(med_ref,), batch_format="pandas",
-        concurrency=(1, 2),
-    )
+    ).map_batches(abs_dev, batch_format="pandas")
     enable_hash_shuffle(ds2)
     mads = ds2.repartition(partitions, keys=["event_type"]).map_batches(
         pass2, batch_format="pandas", batch_size=None
@@ -2940,28 +2893,22 @@ def events_value_outliers(sf_dir: str, k: int = 3) -> rd.Dataset:
     }
     stats_ref = ray.put(stats)
 
-    class Flag:
-        def __init__(self, ref):
-            self.stats = ray.get(ref)
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            vm = round_half_away(
-                b["value"].to_numpy(dtype="float64") * MICRO
-            ).astype("int64")
-            med = b["event_type"].map({t: s[0] for t, s in self.stats.items()})
-            mad = b["event_type"].map({t: s[1] for t, s in self.stats.items()})
-            keep = np.abs(vm - med.to_numpy()) > k * mad.to_numpy()
-            return pd.DataFrame(
-                {
-                    "event_id": b["event_id"].to_numpy()[keep].astype("int64"),
-                    "event_type": b["event_type"].to_numpy()[keep],
-                    "value_micro": vm[keep],
-                }
-            )
+    def flag(b: pd.DataFrame) -> pd.DataFrame:
+        stats = worker_value(stats_ref)
+        vm = round_half_away(
+            b["value"].to_numpy(dtype="float64") * MICRO
+        ).astype("int64")
+        med = b["event_type"].map({t: s[0] for t, s in stats.items()})
+        mad = b["event_type"].map({t: s[1] for t, s in stats.items()})
+        keep = np.abs(vm - med.to_numpy()) > k * mad.to_numpy()
+        return pd.DataFrame(
+            {
+                "event_id": b["event_id"].to_numpy()[keep].astype("int64"),
+                "event_type": b["event_type"].to_numpy()[keep],
+                "value_micro": vm[keep],
+            }
+        )
 
     return rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    ).map_batches(
-        Flag, fn_constructor_args=(stats_ref,), batch_format="pandas",
-        concurrency=(1, 2),
-    )
+    ).map_batches(flag, batch_format="pandas")

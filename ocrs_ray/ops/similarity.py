@@ -21,6 +21,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..pipeline import worker_value
+
 __all__ = [
     "HashingEmbedder",
     "docs_embed_hashing",
@@ -41,6 +43,11 @@ __all__ = [
     "embedding_quantize_int8",
     "ann_topk_int8",
 ]
+
+
+def _vec_ids(tbl: "pa.Table", col: str) -> np.ndarray:
+    """An id column as int64 numpy, without a Python object per row."""
+    return np.asarray(tbl.column(col).to_numpy(zero_copy_only=False), dtype=np.int64)
 
 
 def embedding_batch_matrix(tbl: "pa.Table") -> np.ndarray:
@@ -174,40 +181,30 @@ def ann_topk_bruteforce(
     q_unit = _unit(q_mat)
     ref = ray.put((q_ids, q_unit))
 
-    class LocalTopK:
-        def __init__(self, ref, k):
-            self.q_ids, self.q_unit = ray.get(ref)
-            self.k = k
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            emb = embedding_batch_matrix(batch)
-            sims = self.q_unit @ _unit(emb).T  # (Q, B)
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.q_ids)):
-                row = sims[qi]
-                mask = vid != self.q_ids[qi]  # exclude self
-                top_ids, top_sims = _local_topk_select(vid[mask], row[mask], self.k)
-                out_q.extend([self.q_ids[qi]] * len(top_ids))
-                out_n.extend(top_ids.tolist())
-                out_s.extend(top_sims.tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
-            )
+    def local_topk(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = embedding_batch_matrix(batch)
+        sims = q_unit @ _unit(emb).T  # (Q, B)
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(q_ids)):
+            row = sims[qi]
+            mask = vid != q_ids[qi]  # exclude self
+            top_ids, top_sims = _local_topk_select(vid[mask], row[mask], k)
+            out_q.extend([q_ids[qi]] * len(top_ids))
+            out_n.extend(top_ids.tolist())
+            out_s.extend(top_sims.tolist())
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        LocalTopK,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(local_topk, batch_format="pyarrow", batch_size=2048)
 
     return _finalize_topk(local, k)
 
@@ -269,48 +266,39 @@ def ann_topk_lsh(
             wanted.setdefault((t, int(q_buckets[qi, t])), []).append(qi)
     ref = ray.put((q_ids, q_unit, planes, wanted))
 
-    class BucketScan:
-        def __init__(self, ref):
-            self.q_ids, self.q_unit, self.planes, self.wanted = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            emb = _unit(embedding_batch_matrix(batch))
-            n_t = self.planes.shape[0]
-            n_p = self.planes.shape[1]
-            out_q, out_n, out_s = [], [], []
-            cand_by_q: dict[int, set[int]] = {}
-            for t in range(n_t):
-                signs = (emb @ self.planes[t].T) > 0
-                buckets = (signs * (1 << np.arange(n_p))).sum(axis=1)
-                for row, b in enumerate(buckets):
-                    for qi in self.wanted.get((t, int(b)), ()):  # noqa: B905
-                        cand_by_q.setdefault(qi, set()).add(row)
-            for qi, rows in cand_by_q.items():
-                rows = sorted(rows)
-                sims = emb[rows] @ self.q_unit[qi]
-                for r, s in zip(rows, sims):
-                    if vid[r] != self.q_ids[qi]:
-                        out_q.append(self.q_ids[qi])
-                        out_n.append(int(vid[r]))
-                        out_s.append(float(s))
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
-            )
+    def bucket_scan(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit, planes, wanted = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = _unit(embedding_batch_matrix(batch))
+        n_t = planes.shape[0]
+        n_p = planes.shape[1]
+        out_q, out_n, out_s = [], [], []
+        cand_by_q: dict[int, set[int]] = {}
+        for t in range(n_t):
+            signs = (emb @ planes[t].T) > 0
+            buckets = (signs * (1 << np.arange(n_p))).sum(axis=1)
+            for row, b in enumerate(buckets):
+                for qi in wanted.get((t, int(b)), ()):  # noqa: B905
+                    cand_by_q.setdefault(qi, set()).add(row)
+        for qi, rows in cand_by_q.items():
+            rows = sorted(rows)
+            sims = emb[rows] @ q_unit[qi]
+            for r, s in zip(rows, sims):
+                if vid[r] != q_ids[qi]:
+                    out_q.append(q_ids[qi])
+                    out_n.append(int(vid[r]))
+                    out_s.append(float(s))
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        BucketScan,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(bucket_scan, batch_format="pyarrow", batch_size=2048)
 
     return _finalize_topk(local, k)
 
@@ -370,47 +358,37 @@ def ann_topk_ivf(
             probe_by_cell.setdefault(int(c), []).append(qi)
     ref = ray.put((q_ids, q_unit, cents, probe_by_cell, k))
 
-    class CellScan:
-        def __init__(self, ref):
-            (self.q_ids, self.q_unit, self.cents,
-             self.probe_by_cell, self.k) = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            emb = _unit(embedding_batch_matrix(batch))
-            assign = np.argmax(emb @ self.cents.T, axis=1)
-            out_q, out_n, out_s = [], [], []
-            for cell, qis in self.probe_by_cell.items():
-                rows = np.flatnonzero(assign == cell)
-                if not len(rows):
-                    continue
-                sims = emb[rows] @ self.q_unit[qis].T  # (rows, probes)
-                for j, qi in enumerate(qis):
-                    col = sims[:, j]
-                    mask = vid[rows] != self.q_ids[qi]
-                    top_ids, top_sims = _local_topk_select(
-                        vid[rows][mask], col[mask], self.k
-                    )
-                    out_q.extend([self.q_ids[qi]] * len(top_ids))
-                    out_n.extend(top_ids.tolist())
-                    out_s.extend(top_sims.tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
-            )
+    def cell_scan(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit, cents, probe_by_cell, k = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = _unit(embedding_batch_matrix(batch))
+        assign = np.argmax(emb @ cents.T, axis=1)
+        out_q, out_n, out_s = [], [], []
+        for cell, qis in probe_by_cell.items():
+            rows = np.flatnonzero(assign == cell)
+            if not len(rows):
+                continue
+            sims = emb[rows] @ q_unit[qis].T  # (rows, probes)
+            for j, qi in enumerate(qis):
+                col = sims[:, j]
+                mask = vid[rows] != q_ids[qi]
+                top_ids, top_sims = _local_topk_select(
+                    vid[rows][mask], col[mask], k
+                )
+                out_q.extend([q_ids[qi]] * len(top_ids))
+                out_n.extend(top_ids.tolist())
+                out_s.extend(top_sims.tolist())
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        CellScan,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(cell_scan, batch_format="pyarrow", batch_size=2048)
 
     return _finalize_topk(local, k)
 
@@ -504,62 +482,50 @@ def ann_topk_pq(
     cbs = _pq_train(sample, m_subspaces, n_codes, seed)
     ref = ray.put((q_ids, q_unit, cbs, k, shortlist))
 
-    class PqScan:
-        def __init__(self, ref):
-            (self.q_ids, self.q_unit, self.cbs, self.k,
-             self.shortlist) = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(
-                batch.column("vec_id").to_pylist(), dtype=np.int64
+    def pq_scan(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit, cbs, k, shortlist = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = _unit(embedding_batch_matrix(batch))
+        m, _codes, sub = cbs.shape
+        n = len(vid)
+        codes = np.empty((n, m), dtype=np.int64)
+        for b in range(m):
+            x = emb[:, b * sub : (b + 1) * sub]
+            d2 = (
+                -2.0 * (x @ cbs[b].T)
+                + (cbs[b] ** 2).sum(axis=1)[None, :]
             )
-            emb = _unit(embedding_batch_matrix(batch))
-            m, _codes, sub = self.cbs.shape
-            n = len(vid)
-            codes = np.empty((n, m), dtype=np.int64)
+            codes[:, b] = np.argmin(d2, axis=1)
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(q_ids)):
+            approx = np.zeros(n, dtype=np.float64)
             for b in range(m):
-                x = emb[:, b * sub : (b + 1) * sub]
-                d2 = (
-                    -2.0 * (x @ self.cbs[b].T)
-                    + (self.cbs[b] ** 2).sum(axis=1)[None, :]
-                )
-                codes[:, b] = np.argmin(d2, axis=1)
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.q_ids)):
-                approx = np.zeros(n, dtype=np.float64)
-                for b in range(m):
-                    lut = self.cbs[b] @ self.q_unit[qi, b * sub : (b + 1) * sub]
-                    approx += lut[codes[:, b]]
-                mask = vid != self.q_ids[qi]  # exclude self
-                rows = np.flatnonzero(mask)
-                # shortlist by ADC score, tie-broken on id so the
-                # exact-degenerate path is deterministic
-                sel = np.lexsort((vid[rows], -approx[rows]))[: self.shortlist]
-                cand = rows[sel]
-                exact = emb[cand] @ self.q_unit[qi]
-                top_ids, top_sims = _local_topk_select(
-                    vid[cand], exact, self.k
-                )
-                out_q.extend([self.q_ids[qi]] * len(top_ids))
-                out_n.extend(top_ids.tolist())
-                out_s.extend(top_sims.tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
+                lut = cbs[b] @ q_unit[qi, b * sub : (b + 1) * sub]
+                approx += lut[codes[:, b]]
+            mask = vid != q_ids[qi]  # exclude self
+            rows = np.flatnonzero(mask)
+            # shortlist by ADC score, tie-broken on id so the
+            # exact-degenerate path is deterministic
+            sel = np.lexsort((vid[rows], -approx[rows]))[: shortlist]
+            cand = rows[sel]
+            exact = emb[cand] @ q_unit[qi]
+            top_ids, top_sims = _local_topk_select(
+                vid[cand], exact, k
             )
+            out_q.extend([q_ids[qi]] * len(top_ids))
+            out_n.extend(top_ids.tolist())
+            out_s.extend(top_sims.tolist())
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        PqScan,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(pq_scan, batch_format="pyarrow", batch_size=2048)
 
     return _finalize_topk(local, k)
 
@@ -627,68 +593,56 @@ def ann_topk_ivfpq(
     q_cells = np.argsort(-(q_unit @ cents.T), axis=1)[:, :nprobe]
     ref = ray.put((q_ids, q_unit, cents, cbs, q_cells, k, shortlist))
 
-    class IvfPqScan:
-        def __init__(self, ref):
-            (self.q_ids, self.q_unit, self.cents, self.cbs,
-             self.q_cells, self.k, self.shortlist) = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(
-                batch.column("vec_id").to_pylist(), dtype=np.int64
+    def ivfpq_scan(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit, cents, cbs, q_cells, k, shortlist = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = _unit(embedding_batch_matrix(batch))
+        assign = np.argmax(emb @ cents.T, axis=1)
+        resid = emb - cents[assign]
+        m, _codes, sub = cbs.shape
+        codes = np.empty((len(vid), m), dtype=np.int64)
+        for b in range(m):
+            x = resid[:, b * sub : (b + 1) * sub]
+            d2 = (
+                -2.0 * (x @ cbs[b].T)
+                + (cbs[b] ** 2).sum(axis=1)[None, :]
             )
-            emb = _unit(embedding_batch_matrix(batch))
-            assign = np.argmax(emb @ self.cents.T, axis=1)
-            resid = emb - self.cents[assign]
-            m, _codes, sub = self.cbs.shape
-            codes = np.empty((len(vid), m), dtype=np.int64)
+            codes[:, b] = np.argmin(d2, axis=1)
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(q_ids)):
+            member = np.isin(assign, q_cells[qi]) & (
+                vid != q_ids[qi]
+            )
+            rows = np.flatnonzero(member)
+            if not len(rows):
+                continue
+            qv = q_unit[qi]
+            approx = cents[assign[rows]] @ qv
             for b in range(m):
-                x = resid[:, b * sub : (b + 1) * sub]
-                d2 = (
-                    -2.0 * (x @ self.cbs[b].T)
-                    + (self.cbs[b] ** 2).sum(axis=1)[None, :]
-                )
-                codes[:, b] = np.argmin(d2, axis=1)
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.q_ids)):
-                member = np.isin(assign, self.q_cells[qi]) & (
-                    vid != self.q_ids[qi]
-                )
-                rows = np.flatnonzero(member)
-                if not len(rows):
-                    continue
-                qv = self.q_unit[qi]
-                approx = self.cents[assign[rows]] @ qv
-                for b in range(m):
-                    lut = self.cbs[b] @ qv[b * sub : (b + 1) * sub]
-                    approx = approx + lut[codes[rows, b]]
-                # shortlist by ADC score, tie-broken on id so the
-                # exact-degenerate path is deterministic
-                sel = np.lexsort((vid[rows], -approx))[: self.shortlist]
-                cand = rows[sel]
-                exact = emb[cand] @ qv
-                top_ids, top_sims = _local_topk_select(
-                    vid[cand], exact, self.k
-                )
-                out_q.extend([self.q_ids[qi]] * len(top_ids))
-                out_n.extend(top_ids.tolist())
-                out_s.extend(top_sims.tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
+                lut = cbs[b] @ qv[b * sub : (b + 1) * sub]
+                approx = approx + lut[codes[rows, b]]
+            # shortlist by ADC score, tie-broken on id so the
+            # exact-degenerate path is deterministic
+            sel = np.lexsort((vid[rows], -approx))[: shortlist]
+            cand = rows[sel]
+            exact = emb[cand] @ qv
+            top_ids, top_sims = _local_topk_select(
+                vid[cand], exact, k
             )
+            out_q.extend([q_ids[qi]] * len(top_ids))
+            out_n.extend(top_ids.tolist())
+            out_s.extend(top_sims.tolist())
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        IvfPqScan,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(ivfpq_scan, batch_format="pyarrow", batch_size=2048)
 
     return _finalize_topk(local, k)
 
@@ -739,7 +693,7 @@ def kmeans_embeddings(
         )
 
     def partial_stats(batch: pa.Table, ref) -> pa.Table:
-        c = ray.get(ref)
+        c = worker_value(ref)
         if batch.num_rows == 0:
             return pa.table(
                 {
@@ -749,7 +703,7 @@ def kmeans_embeddings(
                     "batch_min_vec": pa.array([], type=pa.int64()),
                 }
             )
-        vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        vid = _vec_ids(batch, "vec_id")
         emb = embedding_batch_matrix(batch)
         # Squared euclidean distance argmin (ties -> lowest cluster id).
         d2 = (emb**2).sum(1)[:, None] - 2 * emb @ c.T + (c**2).sum(1)[None, :]
@@ -793,33 +747,26 @@ def kmeans_embeddings(
 
     final_ref = ray.put(cents)
 
-    class Assign:
-        def __init__(self, ref):
-            self.cents = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            emb = embedding_batch_matrix(batch)
-            d2 = (
-                (emb**2).sum(1)[:, None]
-                - 2 * emb @ self.cents.T
-                + (self.cents**2).sum(1)[None, :]
-            )
-            return pa.table(
-                {
-                    "vec_id": pa.array(vid, type=pa.int64()),
-                    "cluster_id": pa.array(
-                        np.argmin(d2, axis=1).astype(np.int64), type=pa.int64()
-                    ),
-                }
-            )
+    def assign_cluster(batch: pa.Table) -> pa.Table:
+        cents = worker_value(final_ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = embedding_batch_matrix(batch)
+        d2 = (
+            (emb**2).sum(1)[:, None]
+            - 2 * emb @ cents.T
+            + (cents**2).sum(1)[None, :]
+        )
+        return pa.table(
+            {
+                "vec_id": pa.array(vid, type=pa.int64()),
+                "cluster_id": pa.array(
+                    np.argmin(d2, axis=1).astype(np.int64), type=pa.int64()
+                ),
+            }
+        )
 
     return read().map_batches(
-        Assign,
-        fn_constructor_args=(final_ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
+        assign_cluster, batch_format="pyarrow", batch_size=2048
     )
 
 
@@ -887,31 +834,28 @@ def _semdedup_core(
 
     cents_ref = ray.put(cents)
 
-    class Assign:
-        def __init__(self, ref):
-            self.cents = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], type=pa.int64()),
-                        "cluster_id": pa.array([], type=pa.int64()),
-                        "unit": pa.array([], type=pa.list_(pa.float64())),
-                    }
-                )
-            vid = np.asarray(batch.column(id_col).to_numpy(zero_copy_only=False), dtype=np.int64)
-            u = _unit(embedding_batch_matrix(batch))
-            # argmax takes the FIRST maximal centroid — lowest cluster
-            # id on ties, matching the reference kernel exactly
-            assign = np.argmax(u @ self.cents.T, axis=1).astype(np.int64)
+    def assign_cluster(batch: pa.Table) -> pa.Table:
+        cents = worker_value(cents_ref)
+        if batch.num_rows == 0:
             return pa.table(
                 {
-                    id_col: pa.array(vid, type=pa.int64()),
-                    "cluster_id": pa.array(assign, type=pa.int64()),
-                    "unit": f64_list_array(u),
+                    id_col: pa.array([], type=pa.int64()),
+                    "cluster_id": pa.array([], type=pa.int64()),
+                    "unit": pa.array([], type=pa.list_(pa.float64())),
                 }
             )
+        vid = _vec_ids(batch, id_col)
+        u = _unit(embedding_batch_matrix(batch))
+        # argmax takes the FIRST maximal centroid — lowest cluster
+        # id on ties, matching the reference kernel exactly
+        assign = np.argmax(u @ cents.T, axis=1).astype(np.int64)
+        return pa.table(
+            {
+                id_col: pa.array(vid, type=pa.int64()),
+                "cluster_id": pa.array(assign, type=pa.int64()),
+                "unit": f64_list_array(u),
+            }
+        )
 
     def prune_block(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -921,7 +865,7 @@ def _semdedup_core(
                     "cluster_id": pd.Series([], dtype="int64"),
                 }
             )
-        cmat = ray.get(cents_ref)
+        cmat = worker_value(cents_ref)
         out_v, out_c = [], []
         for cid, grp in df.groupby("cluster_id", sort=True):
             if len(grp) > max_cluster_rows:
@@ -945,13 +889,7 @@ def _semdedup_core(
             }
         )
 
-    ds = ds.map_batches(
-        Assign,
-        fn_constructor_args=(cents_ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 4),
-    )
+    ds = ds.map_batches(assign_cluster, batch_format="pyarrow", batch_size=2048)
     enable_hash_shuffle(ds)
     return ds.repartition(npart, keys=["cluster_id"]).map_batches(
         prune_block, batch_format="pandas", batch_size=None
@@ -1024,20 +962,21 @@ def docs_semdedup_survivors(
     max_cluster_rows: int = 2_000_000,
 ) -> rd.Dataset:
     """SemDeDup applied to the DOCUMENTS table end-to-end — the
-    real-world composition: embed every document with the stateful
-    inference actor pool (`HashingEmbedder`, the real-encoder
-    plumbing), then semantic-dedup the embedding space. Returns
-    surviving (doc_id, cluster_id) rows.
+    real-world composition: embed every document with the embedding
+    task stage (`HashingEmbedder`, the real-encoder plumbing), then
+    semantic-dedup the embedding space. Returns surviving (doc_id,
+    cluster_id) rows.
 
     Centroid training embeds a deterministic head sample of documents
-    DRIVER-side with the same kernel the pool runs — embed + assign +
-    prune all share one code path with `semdedup_survivors`, so the
+    in the calling process with the same kernel the stage runs —
+    embed + assign + prune all share one code path with
+    `semdedup_survivors`, so the
     distributed result is bit-identical to a single-process reference
     (pinned in tests). One keyed exchange total; embeddings never hit
-    storage (they flow pool -> shuffle as list<float> columns)."""
+    storage (they flow stage -> shuffle as list<float> columns)."""
     import pyarrow.parquet as pq
 
-    from ocrs_ray.pipeline import cluster_ncpu, default_npart
+    from ocrs_ray.pipeline import default_npart
 
     if npart is None:
         npart = default_npart()
@@ -1055,15 +994,9 @@ def docs_semdedup_survivors(
     sample = _unit(np.asarray(sample_rows[:want], dtype=np.float64))
     cents = spherical_kmeans(sample, nlist, seed=seed, iters=iters)
 
-    pool = max(1, min(4, cluster_ncpu() - 2))
     ds = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(
-        HashingEmbedder,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pandas",
-        concurrency=(1, pool),
-    )
+    ).map_batches(HashingEmbedder(dim), batch_format="pandas")
     return _semdedup_core(
         ds, cents, 1.0 - eps, npart, max_cluster_rows, id_col="doc_id"
     )
@@ -1132,7 +1065,7 @@ def embedding_top_component(sf_dir: str) -> rd.Dataset:
                     "batch_min_vec": pa.array([], type=pa.int64()),
                 }
             )
-        vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        vid = _vec_ids(batch, "vec_id")
         emb = embedding_batch_matrix(batch)
         g = emb.T @ emb
         return pa.table(
@@ -1187,7 +1120,7 @@ def embedding_quantize_int8(sf_dir: str) -> rd.Dataset:
                     "codes": pa.array([], type=pa.list_(pa.int8())),
                 }
             )
-        vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        vid = _vec_ids(batch, "vec_id")
         emb = embedding_batch_matrix(batch)
         scale = np.abs(emb).max(axis=1) / 127.0
         safe = np.where(scale == 0, 1.0, scale)
@@ -1230,51 +1163,42 @@ def ann_topk_int8(
     q_unit = _unit(q_mat)
     ref = ray.put((q_ids, q_unit))
 
-    class QuantizedTopK:
-        def __init__(self, ref, k):
-            self.q_ids, self.q_unit, self.k = *ray.get(ref), k
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-            emb = embedding_batch_matrix(batch)
-            scale = np.abs(emb).max(axis=1) / 127.0
-            safe = np.where(scale == 0, 1.0, scale)
-            codes = np.clip(
-                np.rint(emb / safe[:, None]), -127, 127
-            ).astype(np.int8)
-            # Cosine from codes alone: the per-vector scale multiplies
-            # both the dot product and the norm, so it cancels.
-            cf = codes.astype(np.float64)
-            norms = np.linalg.norm(cf, axis=1)
-            norms[norms == 0] = 1.0
-            sims = self.q_unit @ (cf / norms[:, None]).T  # (Q, B)
-            out_q, out_n, out_s = [], [], []
-            for qi in range(len(self.q_ids)):
-                row = sims[qi]
-                mask = vid != self.q_ids[qi]
-                top_ids, top_sims = _local_topk_select(
-                    vid[mask], row[mask], self.k
-                )
-                out_q.extend([self.q_ids[qi]] * len(top_ids))
-                out_n.extend(top_ids.tolist())
-                out_s.extend(top_sims.tolist())
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "neighbor_id": pa.array(out_n, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
+    def quantized_topk(batch: pa.Table) -> pa.Table:
+        q_ids, q_unit = worker_value(ref)
+        vid = _vec_ids(batch, "vec_id")
+        emb = embedding_batch_matrix(batch)
+        scale = np.abs(emb).max(axis=1) / 127.0
+        safe = np.where(scale == 0, 1.0, scale)
+        codes = np.clip(
+            np.rint(emb / safe[:, None]), -127, 127
+        ).astype(np.int8)
+        # Cosine from codes alone: the per-vector scale multiplies
+        # both the dot product and the norm, so it cancels.
+        cf = codes.astype(np.float64)
+        norms = np.linalg.norm(cf, axis=1)
+        norms[norms == 0] = 1.0
+        sims = q_unit @ (cf / norms[:, None]).T  # (Q, B)
+        out_q, out_n, out_s = [], [], []
+        for qi in range(len(q_ids)):
+            row = sims[qi]
+            mask = vid != q_ids[qi]
+            top_ids, top_sims = _local_topk_select(
+                vid[mask], row[mask], k
             )
+            out_q.extend([q_ids[qi]] * len(top_ids))
+            out_n.extend(top_ids.tolist())
+            out_s.extend(top_sims.tolist())
+        return pa.table(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "neighbor_id": pa.array(out_n, type=pa.int64()),
+                "cosine": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
     local = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(
-        QuantizedTopK,
-        fn_constructor_args=(ref, k),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 2),
-    )
+    ).map_batches(quantized_topk, batch_format="pyarrow", batch_size=2048)
     return _finalize_topk(local, k)
 
 
@@ -1282,10 +1206,10 @@ class HashingEmbedder:
     """Deterministic hashing-trick text embedder (Weinberger et al.
     2009, feature hashing): token -> md5-derived bucket and sign,
     accumulate counts, L2-normalize. Stands in for a real encoder with
-    the SAME Ray-side contract — stateful setup (compiled tokenizer +
-    a token->(bucket, sign) cache that warms across batches, the
-    "model weights" of this fake) once per actor in `__init__`, pure
-    batched compute in `__call__`.
+    the SAME Ray-side contract — setup (compiled tokenizer + a
+    token->(bucket, sign) cache that warms across the batches of one
+    task, the "model weights" of this fake) once in `__init__`, pure
+    batched compute in `__call__`. Pass `map_batches` an instance.
     """
 
     def __init__(self, dim: int = 64):
@@ -1326,24 +1250,17 @@ class HashingEmbedder:
 
 def docs_embed_hashing(sf_dir: str, dim: int = 64) -> rd.Dataset:
     """Batched text "model" inference over documents: the hashing-trick
-    embedder as a stateful actor pool — the plumbing (actor `__init__`
-    state, per-batch vector output as a list<float> column, pool
-    sizing) is exactly what a real transformer encoder stage uses; only
-    the arithmetic inside `embed_one` is a deterministic fake (no
+    embedder as a task stage over a callable instance — the plumbing
+    (setup in `__init__` when the stage is built, per-batch vector
+    output as a list<float> column) is exactly what a real transformer
+    encoder stage uses; only the arithmetic inside `embed_one` is a
+    deterministic fake (no
     model weights exist in this container).
 
     Rows-only for the driver (embeddings are float vectors);
     determinism + unit-norm + exact kernel values pinned in
     tests/test_ops.py without Ray.
     """
-    from ocrs_ray.pipeline import cluster_ncpu
-
-    pool = max(1, min(4, cluster_ncpu() - 2))
     return rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(
-        HashingEmbedder,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pandas",
-        concurrency=(1, pool),
-    )
+    ).map_batches(HashingEmbedder(dim), batch_format="pandas")

@@ -24,6 +24,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from ..pipeline import worker_value
+
 __all__ = [
     "TDigest",
     "tdigest_from_values",
@@ -274,16 +276,10 @@ def active_customers_bloom(
     ).map_batches(qualifying_keys, batch_format="pandas")
     ref = ray.put(build_bloom(build, "o_custkey", n_bits, k))
 
-    class Probe:
-        def __init__(self, ref):
-            self.bf = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            keep = self.bf.contains(batch["c_custkey"].to_numpy())
-            return batch.loc[keep, ["c_custkey", "c_name"]]
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        keep = worker_value(ref).contains(batch["c_custkey"].to_numpy())
+        return batch.loc[keep, ["c_custkey", "c_name"]]
 
     return rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    ).map_batches(
-        Probe, fn_constructor_args=(ref,), batch_format="pandas", concurrency=(1, 2)
-    )
+    ).map_batches(probe, batch_format="pandas")

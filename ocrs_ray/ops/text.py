@@ -3,7 +3,7 @@ ID, fingerprinting.
 
 All stages are stateless vectorized `map_batches` transforms over the
 `documents` table (columns pruned at the read); the regex/stopword
-state is compiled once per actor where it matters.
+state is compiled once, when the stage is built, where it matters.
 """
 
 from __future__ import annotations
@@ -124,14 +124,15 @@ def text_quality(sf_dir: str) -> rd.Dataset:
 
 
 class LangId:
-    """Stopword-overlap language identification (actor-pool stage).
+    """Stopword-overlap language identification (passed to `map_batches`
+    as an instance, so it runs as a task stage).
 
     A deterministic heuristic: tokenize, score each candidate language
     by its stopword hit count, argmax (ties to the alphabetically first
     language) with 'und' fallback when nothing matches. The score is
     the integer hit rate in ppm ((1e6 * hits) // n_tokens), so the op
     compares bit-exactly against its SQL oracle. State (compiled regex
-    + stopword tables) builds once per actor.
+    + stopword tables) builds once, when the stage is built.
     """
 
     def __init__(self):
@@ -162,7 +163,7 @@ class LangId:
 
 def lang_id(sf_dir: str) -> rd.Dataset:
     return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        LangId, batch_format="pandas", concurrency=(1, 2)
+        LangId(), batch_format="pandas"
     )
 
 

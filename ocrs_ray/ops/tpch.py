@@ -54,6 +54,7 @@ import pandas as pd
 
 import ray.data as rd
 
+from ..pipeline import worker_value
 from .relational import MICRO, round_half_away, tree_sum
 
 __all__ = [
@@ -82,15 +83,6 @@ def _npart() -> int:
     from ocrs_ray.pipeline import default_npart
 
     return default_npart()
-
-
-def _pool(cap: int) -> int:
-    """Actor-pool max sized from the cluster, leaving >= 2 CPUs free
-    for the read task + shuffle aggregators (CLAUDE.md deadlock
-    class) — never a hardcoded count."""
-    from ocrs_ray.pipeline import cluster_ncpu
-
-    return max(1, min(cap, cluster_ncpu() - 2))
 
 
 def _rev_micro(batch: pd.DataFrame) -> np.ndarray:
@@ -205,41 +197,31 @@ def q7_nation_volume(
         dict(zip(cust.column("c_custkey").to_pylist(), cust.column("c_nationkey").to_pylist()))
     )
 
-    class LinePartial:
-        def __init__(self, ref, keep):
-            self.nat = ray.get(ref)
-            self.keep = keep
+    def line_partial(batch: pd.DataFrame) -> pd.DataFrame:
+        sn = batch["l_suppkey"].map(worker_value(supp_ref))
+        sel = sn.isin(keys).to_numpy()
+        b = batch.loc[sel]
+        df = pd.DataFrame(
+            {
+                "l_orderkey": b["l_orderkey"].to_numpy(),
+                "supp_nationkey": sn.to_numpy()[sel].astype("int64"),
+                "l_year": b["l_shipdate"].dt.year.to_numpy().astype("int64"),
+                "revenue_micro": _rev_micro(b),
+            }
+        )
+        return df.groupby(
+            ["l_orderkey", "supp_nationkey", "l_year"], as_index=False
+        )["revenue_micro"].sum()
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            sn = batch["l_suppkey"].map(self.nat)
-            sel = sn.isin(self.keep).to_numpy()
-            b = batch.loc[sel]
-            df = pd.DataFrame(
-                {
-                    "l_orderkey": b["l_orderkey"].to_numpy(),
-                    "supp_nationkey": sn.to_numpy()[sel].astype("int64"),
-                    "l_year": b["l_shipdate"].dt.year.to_numpy().astype("int64"),
-                    "revenue_micro": _rev_micro(b),
-                }
-            )
-            return df.groupby(
-                ["l_orderkey", "supp_nationkey", "l_year"], as_index=False
-            )["revenue_micro"].sum()
-
-    class OrdersProj:
-        def __init__(self, ref, keep):
-            self.nat = ray.get(ref)
-            self.keep = keep
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            cn = batch["o_custkey"].map(self.nat)
-            sel = cn.isin(self.keep).to_numpy()
-            return pd.DataFrame(
-                {
-                    "o_orderkey": batch["o_orderkey"].to_numpy()[sel],
-                    "cust_nationkey": cn.to_numpy()[sel].astype("int64"),
-                }
-            )
+    def orders_proj(batch: pd.DataFrame) -> pd.DataFrame:
+        cn = batch["o_custkey"].map(worker_value(cust_ref))
+        sel = cn.isin(keys).to_numpy()
+        return pd.DataFrame(
+            {
+                "o_orderkey": batch["o_orderkey"].to_numpy()[sel],
+                "cust_nationkey": cn.to_numpy()[sel].astype("int64"),
+            }
+        )
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -254,20 +236,10 @@ def q7_nation_volume(
             (pads.field("l_shipdate") >= _ts(date_from))
             & (pads.field("l_shipdate") < _ts(date_to))
         ),
-    ).map_batches(
-        LinePartial,
-        fn_constructor_args=(supp_ref, keys),
-        batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    ).map_batches(line_partial, batch_format="pandas")
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    ).map_batches(
-        OrdersProj,
-        fn_constructor_args=(cust_ref, keys),
-        batch_format="pandas",
-        concurrency=(1, _pool(2)),
-    )
+    ).map_batches(orders_proj, batch_format="pandas")
     joined = line.join(
         orders,
         join_type="inner",
@@ -420,25 +392,19 @@ def q10_returned_customers(
     }
     info_ref = ray.put(info)
 
-    class Decorate:
-        def __init__(self, ref):
-            self.info = ray.get(ref)
+    def decorate(batch: pd.DataFrame) -> pd.DataFrame:
+        info = worker_value(info_ref)
+        pairs = [info[ck] for ck in batch["o_custkey"]]
+        return pd.DataFrame(
+            {
+                "c_custkey": batch["o_custkey"].to_numpy().astype("int64"),
+                "c_name": [p[0] for p in pairs],
+                "n_name": [p[1] for p in pairs],
+                "revenue_micro": batch["revenue_micro"].to_numpy(),
+            }
+        )
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            pairs = [self.info[ck] for ck in batch["o_custkey"]]
-            return pd.DataFrame(
-                {
-                    "c_custkey": batch["o_custkey"].to_numpy().astype("int64"),
-                    "c_name": [p[0] for p in pairs],
-                    "n_name": [p[1] for p in pairs],
-                    "revenue_micro": batch["revenue_micro"].to_numpy(),
-                }
-            )
-
-    return top.map_batches(
-        Decorate, fn_constructor_args=(info_ref,), batch_format="pandas",
-        concurrency=(1, 1),
-    )
+    return top.map_batches(decorate, batch_format="pandas")
 
 
 def q12_priority_linestatus(
@@ -550,19 +516,16 @@ def q14_promo_revenue(
         }
     )
 
-    class Partial:
-        def __init__(self, ref):
-            self.is_promo = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            rev = _rev_micro(batch)
-            promo = batch["l_partkey"].map(self.is_promo).to_numpy(dtype=bool)
-            return pd.DataFrame(
-                {
-                    "promo_revenue_micro": [int(rev[promo].sum())],
-                    "total_revenue_micro": [int(rev.sum())],
-                }
-            )
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        is_promo = worker_value(promo_ref)
+        rev = _rev_micro(batch)
+        promo = batch["l_partkey"].map(is_promo).to_numpy(dtype=bool)
+        return pd.DataFrame(
+            {
+                "promo_revenue_micro": [int(rev[promo].sum())],
+                "total_revenue_micro": [int(rev.sum())],
+            }
+        )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         promo = int(df["promo_revenue_micro"].sum()) if len(df) else 0
@@ -584,10 +547,7 @@ def q14_promo_revenue(
             (pads.field("l_shipdate") >= _ts(date_from))
             & (pads.field("l_shipdate") < _ts(date_to))
         ),
-    ).map_batches(
-        Partial, fn_constructor_args=(promo_ref,), batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    ).map_batches(partial, batch_format="pandas")
     return ds.repartition(1).map_batches(
         final, batch_format="pandas", batch_size=None
     )
@@ -632,27 +592,24 @@ def q16_supplier_part_counts(
         )
     )
 
-    class Project:
-        def __init__(self, ref):
-            self.brand, self.size = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            brand = batch["l_partkey"].map(self.brand)
-            keep = (
-                brand.notna().to_numpy()
-                & (batch["l_suppkey"].to_numpy() % 4 != 0)
-            )
-            df = pd.DataFrame(
-                {
-                    "p_brand": brand.to_numpy()[keep],
-                    "p_size": batch["l_partkey"]
-                    .map(self.size)
-                    .to_numpy()[keep]
-                    .astype("int64"),
-                    "l_suppkey": batch["l_suppkey"].to_numpy()[keep].astype("int64"),
-                }
-            )
-            return df.drop_duplicates()
+    def project(batch: pd.DataFrame) -> pd.DataFrame:
+        brand_of, size_of = worker_value(attrs_ref)
+        brand = batch["l_partkey"].map(brand_of)
+        keep = (
+            brand.notna().to_numpy()
+            & (batch["l_suppkey"].to_numpy() % 4 != 0)
+        )
+        df = pd.DataFrame(
+            {
+                "p_brand": brand.to_numpy()[keep],
+                "p_size": batch["l_partkey"]
+                .map(size_of)
+                .to_numpy()[keep]
+                .astype("int64"),
+                "l_suppkey": batch["l_suppkey"].to_numpy()[keep].astype("int64"),
+            }
+        )
+        return df.drop_duplicates()
 
     def count_distinct(df: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -666,10 +623,7 @@ def q16_supplier_part_counts(
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    ).map_batches(
-        Project, fn_constructor_args=(attrs_ref,), batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    ).map_batches(project, batch_format="pandas")
     return ds.repartition(npart, keys=["p_brand", "p_size"]).map_batches(
         count_distinct, batch_format="pandas", batch_size=None
     )
@@ -705,30 +659,27 @@ def q19_disjunctive_revenue(sf_dir: str) -> rd.Dataset:
         )
     )
 
-    class Partial:
-        def __init__(self, ref):
-            self.brand, self.size = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            qty = batch["l_quantity"].to_numpy(dtype="float64")
-            brand = batch["l_partkey"].map(self.brand).to_numpy()
-            size = batch["l_partkey"].map(self.size).to_numpy().astype("int64")
-            keep = np.zeros(len(batch), dtype=bool)
-            for b, s_lo, s_hi, q_lo, q_hi in branches:
-                keep |= (
-                    (brand == b)
-                    & (size >= s_lo)
-                    & (size <= s_hi)
-                    & (qty >= q_lo)
-                    & (qty <= q_hi)
-                )
-            rev = _rev_micro(batch)
-            return pd.DataFrame(
-                {
-                    "revenue_micro": [int(rev[keep].sum())],
-                    "n_items": [int(keep.sum())],
-                }
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        brand_of, size_of = worker_value(attrs_ref)
+        qty = batch["l_quantity"].to_numpy(dtype="float64")
+        brand = batch["l_partkey"].map(brand_of).to_numpy()
+        size = batch["l_partkey"].map(size_of).to_numpy().astype("int64")
+        keep = np.zeros(len(batch), dtype=bool)
+        for b, s_lo, s_hi, q_lo, q_hi in branches:
+            keep |= (
+                (brand == b)
+                & (size >= s_lo)
+                & (size <= s_hi)
+                & (qty >= q_lo)
+                & (qty <= q_hi)
             )
+        rev = _rev_micro(batch)
+        return pd.DataFrame(
+            {
+                "revenue_micro": [int(rev[keep].sum())],
+                "n_items": [int(keep.sum())],
+            }
+        )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -741,10 +692,7 @@ def q19_disjunctive_revenue(sf_dir: str) -> rd.Dataset:
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    ).map_batches(
-        Partial, fn_constructor_args=(attrs_ref,), batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    ).map_batches(partial, batch_format="pandas")
     return ds.repartition(1).map_batches(
         final, batch_format="pandas", batch_size=None
     )
@@ -939,22 +887,16 @@ def q21_sole_returned_supplier(sf_dir: str) -> rd.Dataset:
         dict(zip(supp.column("s_suppkey").to_pylist(), supp.column("s_name").to_pylist()))
     )
 
-    class Decorate:
-        def __init__(self, ref):
-            self.names = ray.get(ref)
+    def decorate(b: pd.DataFrame) -> pd.DataFrame:
+        names = worker_value(name_ref)
+        return pd.DataFrame(
+            {
+                "s_name": b["l_suppkey"].map(names).to_numpy(),
+                "numwait": b["numwait"].to_numpy(),
+            }
+        )
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "s_name": b["l_suppkey"].map(self.names).to_numpy(),
-                    "numwait": b["numwait"].to_numpy(),
-                }
-            )
-
-    return counts.map_batches(
-        Decorate, fn_constructor_args=(name_ref,), batch_format="pandas",
-        concurrency=(1, 1),
-    )
+    return counts.map_batches(decorate, batch_format="pandas")
 
 
 def q8_market_share(
@@ -1044,30 +986,22 @@ def q8_market_share(
         }
     )
 
-    class LinePartial:
-        def __init__(self, ref):
-            self.target = ray.get(ref)
+    def line_partial(b: pd.DataFrame) -> pd.DataFrame:
+        rev = _rev_micro(b)
+        is_target = b["l_suppkey"].isin(worker_value(target_supp_ref)).to_numpy()
+        df = pd.DataFrame(
+            {
+                "l_orderkey": b["l_orderkey"].to_numpy(),
+                "l_year": b["l_shipdate"].dt.year.to_numpy().astype("int64"),
+                "rev_micro": rev,
+                "rev_target_micro": np.where(is_target, rev, 0),
+            }
+        )
+        return df.groupby(["l_orderkey", "l_year"], as_index=False).sum()
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            rev = _rev_micro(b)
-            is_target = b["l_suppkey"].isin(self.target).to_numpy()
-            df = pd.DataFrame(
-                {
-                    "l_orderkey": b["l_orderkey"].to_numpy(),
-                    "l_year": b["l_shipdate"].dt.year.to_numpy().astype("int64"),
-                    "rev_micro": rev,
-                    "rev_target_micro": np.where(is_target, rev, 0),
-                }
-            )
-            return df.groupby(["l_orderkey", "l_year"], as_index=False).sum()
-
-    class OrdersProj:
-        def __init__(self, ref):
-            self.keep = ray.get(ref)
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            sel = b["o_custkey"].isin(self.keep).to_numpy()
-            return pd.DataFrame({"o_orderkey": b["o_orderkey"].to_numpy()[sel]})
+    def orders_proj(b: pd.DataFrame) -> pd.DataFrame:
+        sel = b["o_custkey"].isin(worker_value(cust_in_region_ref)).to_numpy()
+        return pd.DataFrame({"o_orderkey": b["o_orderkey"].to_numpy()[sel]})
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -1082,20 +1016,10 @@ def q8_market_share(
             (pads.field("l_shipdate") >= _ts(date_from))
             & (pads.field("l_shipdate") < _ts(date_to))
         ),
-    ).map_batches(
-        LinePartial,
-        fn_constructor_args=(target_supp_ref,),
-        batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    ).map_batches(line_partial, batch_format="pandas")
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    ).map_batches(
-        OrdersProj,
-        fn_constructor_args=(cust_in_region_ref,),
-        batch_format="pandas",
-        concurrency=(1, _pool(2)),
-    )
+    ).map_batches(orders_proj, batch_format="pandas")
     joined = line.join(
         orders,
         join_type="inner",
@@ -1293,35 +1217,6 @@ def q9_product_profit(
 
     cost_scale = MICRO * cost_ppm_of_retail / 1_000_000
 
-    class ProfitPartial:
-        """Profit per (orderkey, nation) partial; part retail prices
-        arrive either broadcast (price_ref) or pre-joined as a
-        `p_retailprice` column."""
-
-        def __init__(self, supp_ref, price_ref=None):
-            self.supp_nation = ray.get(supp_ref)
-            self.price = ray.get(price_ref) if price_ref is not None else None
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            if self.price is not None:
-                price = b["l_partkey"].map(self.price)
-                b = b[price.notna().to_numpy()]
-                retail = price.dropna().to_numpy(dtype="float64")
-            else:
-                retail = b["p_retailprice"].to_numpy(dtype="float64")
-            rev = _rev_micro(b)
-            cost = round_half_away(
-                retail * b["l_quantity"].to_numpy(dtype="float64") * cost_scale
-            ).astype("int64")
-            df = pd.DataFrame(
-                {
-                    "l_orderkey": b["l_orderkey"].to_numpy(),
-                    "nation": b["l_suppkey"].map(self.supp_nation).to_numpy(),
-                    "profit_micro": rev - cost,
-                }
-            )
-            return df.groupby(["l_orderkey", "nation"], as_index=False).sum()
-
     if broadcast_parts:
         price_map: dict[int, float] = {}
         for pb in parts.iter_batches(batch_size=8192, batch_format="pyarrow"):
@@ -1331,10 +1226,10 @@ def q9_product_profit(
                     pb.column("p_retailprice").to_pylist(),
                 )
             )
-        ctor_args = (supp_nation_ref, ray.put(price_map))
+        price_ref = ray.put(price_map)
         with_part = line
     else:
-        ctor_args = (supp_nation_ref,)
+        price_ref = None
         with_part = line.join(
             parts,
             join_type="inner",
@@ -1343,12 +1238,30 @@ def q9_product_profit(
             right_on=("p_partkey",),
         )
 
-    profit = with_part.map_batches(
-        ProfitPartial,
-        fn_constructor_args=ctor_args,
-        batch_format="pandas",
-        concurrency=(1, _pool(4)),
-    )
+    def profit_partial(b: pd.DataFrame) -> pd.DataFrame:
+        # Profit per (orderkey, nation) partial; part retail prices
+        # arrive either broadcast (price_ref) or pre-joined as a
+        # `p_retailprice` column.
+        if price_ref is not None:
+            price = b["l_partkey"].map(worker_value(price_ref))
+            b = b[price.notna().to_numpy()]
+            retail = price.dropna().to_numpy(dtype="float64")
+        else:
+            retail = b["p_retailprice"].to_numpy(dtype="float64")
+        rev = _rev_micro(b)
+        cost = round_half_away(
+            retail * b["l_quantity"].to_numpy(dtype="float64") * cost_scale
+        ).astype("int64")
+        df = pd.DataFrame(
+            {
+                "l_orderkey": b["l_orderkey"].to_numpy(),
+                "nation": b["l_suppkey"].map(worker_value(supp_nation_ref)).to_numpy(),
+                "profit_micro": rev - cost,
+            }
+        )
+        return df.groupby(["l_orderkey", "nation"], as_index=False).sum()
+
+    profit = with_part.map_batches(profit_partial, batch_format="pandas")
 
     def orders_proj(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(

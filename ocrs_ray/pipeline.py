@@ -395,6 +395,37 @@ def warm_engine(factory: Callable) -> Any:
     return _ENGINE[1]
 
 
+#: This worker process's broadcast values: `{(ref hex ids, convert):
+#: value}`. A broadcast side is immutable for a run, so every later task
+#: in the process skips the fetch and the conversion. Cleared once it
+#: holds `_VALUES_MAX` entries: one entry is one broadcast side or one
+#: partition frame, which must fit in worker heap anyway (the contract
+#: of every broadcast and per-block keyed op).
+_VALUES: dict = {}
+_VALUES_MAX = 4
+
+
+def worker_value(refs, convert: Callable | None = None) -> Any:
+    """The value behind a broadcast ObjectRef (or behind a collection of
+    refs, fetched in hex-id order), passed through `convert` if given,
+    fetched once per worker process and then reused. `convert` is part
+    of the key, so pass a module-level function: a closure is a new
+    object in every task and would never hit."""
+    if isinstance(refs, ray.ObjectRef):
+        key = ((refs.hex(),), convert)
+    else:
+        refs = sorted(refs, key=lambda r: r.hex())
+        key = (tuple(r.hex() for r in refs), convert)
+    if key not in _VALUES:
+        value = ray.get(refs)
+        if convert is not None:
+            value = convert(value)
+        if len(_VALUES) >= _VALUES_MAX:
+            _VALUES.clear()
+        _VALUES[key] = value
+    return _VALUES[key]
+
+
 class _OcrState:
     """One process's heavy OCR state: engine, media store and memo
     cache, and the one decode -> OCR -> quarantine path of every OCR

@@ -1342,3 +1342,126 @@ def test_semdedup_max_cluster_rows_guard(ray_session, tmp_path):
         semdedup_survivors(
             str(tmp_path), nlist=2, eps=0.05, max_cluster_rows=5
         ).count()
+
+
+# ---------------------------------------------------------------------------
+# Ops stages run as tasks; broadcast sides come from `worker_value`
+
+
+def test_ops_stages_run_as_tasks():
+    """No ops stage is an actor pool: `map_batches` gets a function or a
+    callable instance, never a class, and no pool options. A class
+    (with `concurrency`/`fn_constructor_args`) makes Ray Data boot a
+    fresh actor pool per execution that cannot fuse with its read."""
+    import ast
+    import pathlib
+
+    import ocrs_ray.ops
+
+    pool_kwargs = {"concurrency", "fn_constructor_args", "fn_constructor_kwargs"}
+    bad = []
+    for path in sorted(pathlib.Path(ocrs_ray.ops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+        for call in ast.walk(tree):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "map_batches"
+            ):
+                continue
+            first = call.args[0] if call.args else None
+            names_class = isinstance(first, ast.Name) and first.id in classes
+            kwargs = {k.arg for k in call.keywords} & pool_kwargs
+            if names_class or kwargs:
+                bad.append(f"{path.name}:{call.lineno}")
+    assert not bad, f"actor-pool map_batches stages: {bad}"
+
+
+def test_worker_value_caches_per_process(ray_session, monkeypatch):
+    import ray
+
+    from ocrs_ray import pipeline
+
+    monkeypatch.setattr(pipeline, "_VALUES", {})
+    gets = []
+    real_get = ray.get
+
+    def counting_get(refs, *a, **kw):
+        gets.append(refs)
+        return real_get(refs, *a, **kw)
+
+    monkeypatch.setattr(ray, "get", counting_get)
+    ref = ray.put({"a": 1})
+    first = pipeline.worker_value(ref)
+    assert first == {"a": 1}
+    assert pipeline.worker_value(ref) is first
+    assert len(gets) == 1
+    # A different conversion of the same ref is its own entry.
+    assert pipeline.worker_value(ref, sorted) == ["a"]
+    assert len(gets) == 2
+    assert pipeline.worker_value(ref) is first
+    assert len(gets) == 2
+    # Full at the bound: the next new value clears the old entries.
+    others = [ray.put(i) for i in range(pipeline._VALUES_MAX - 1)]
+    for r in others[:-1]:
+        pipeline.worker_value(r)
+    assert len(pipeline._VALUES) == pipeline._VALUES_MAX
+    assert pipeline.worker_value(others[-1]) == len(others) - 1
+    assert len(pipeline._VALUES) == 1
+    n = len(gets)
+    assert pipeline.worker_value(ref) == {"a": 1}
+    assert len(gets) == n + 1
+
+
+def test_pagerank_block_frame_matches_direct_concat(ray_session):
+    """pagerank's stationary-block fetch (`worker_value(refs,
+    _block_frame)`) equals the direct concat of the blocks in ref-id
+    order, for arrow and pandas blocks alike."""
+    import pyarrow as pa
+    import ray
+
+    from ocrs_ray.ops.extraction import _block_frame
+    from ocrs_ray.pipeline import worker_value
+
+    blocks = [
+        pa.table({"src": [1, 2], "dst": [3, 4]}),
+        pd.DataFrame({"src": [5], "dst": [6]}),
+        pa.table({"src": [7, 8, 9], "dst": [1, 1, 2]}),
+    ]
+    refs = [ray.put(b) for b in blocks]
+    want = pa.concat_tables(
+        [
+            b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
+            for b in ray.get(sorted(refs, key=lambda r: r.hex()))
+        ]
+    ).to_pandas()
+    got = worker_value(set(refs), _block_frame)
+    pd.testing.assert_frame_equal(got, want)
+    assert worker_value(list(reversed(refs)), _block_frame) is got
+    one = worker_value(refs[:1], _block_frame)
+    pd.testing.assert_frame_equal(one, blocks[0].to_pandas())
+
+
+def test_bloom_probe_runs_on_task_pool(ray_session):
+    """`active_customers_bloom`'s probe stage runs as Ray tasks
+    (`TaskPoolMapOperator`), not on an actor pool booted per execution."""
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from ocrs_ray.ops.sketch import active_customers_bloom
+
+    ds = active_customers_bloom(SF)
+
+    def logical_ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from logical_ops(dep)
+
+    compute = {
+        op.name: op._compute
+        for op in logical_ops(ds._logical_plan.dag)
+        if hasattr(op, "_compute")
+    }
+    assert set(compute) == {"ReadParquet", "MapBatches(probe)"}
+    assert all(isinstance(c, TaskPoolStrategy) for c in compute.values())
+    assert " MapBatches(probe): " in ds.materialize().stats()
