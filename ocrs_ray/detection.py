@@ -95,11 +95,12 @@ class TextDetector:
         pad_right = max(in_w - img_w, 0)
         batch = image[None, :, :, :]
         if pad_bottom > 0 or pad_right > 0:
-            batch = np.pad(
-                batch,
-                ((0, 0), (0, 0), (0, pad_bottom), (0, pad_right)),
-                constant_values=np.float32(BLACK_VALUE),
+            batch = np.full(
+                (1, 1, img_h + pad_bottom, img_w + pad_right),
+                np.float32(BLACK_VALUE),
+                dtype=np.float32,
             )
+            batch[0, 0, :img_h, :img_w] = image[0]
         if batch.shape[2] != in_h or batch.shape[3] != in_w:
             batch = resize_bilinear(batch, in_h, in_w)
 

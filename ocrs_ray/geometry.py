@@ -30,6 +30,7 @@ __all__ = [
     "downwards_line",
     "simplify_polygon",
     "polygon_fill_rows",
+    "polygons_fill_rows",
     "polygon_is_simple",
 ]
 
@@ -613,28 +614,38 @@ def simplify_polygon(points: np.ndarray, epsilon: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def polygon_fill_rows(poly_xy: np.ndarray) -> list[tuple[int, int, int]]:
-    """Scanline fill of a polygon in integer pixel space.
+def polygons_fill_rows(
+    polys: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scanline fill of several polygons in integer pixel space at once.
 
-    `poly_xy` is (N, 2) int array of (x, y) vertices. Yields
-    (y, x_start, x_end) half-open pixel runs whose centers (x + 0.5,
-    y + 0.5) lie inside the polygon (even-odd rule).
+    Each of `polys` is an (N, 2) int array of (x, y) vertices. Returns
+    int64 arrays (index, y, x_start, x_end): for polygon `polys[index]`,
+    the half-open pixel runs on row y whose centers (x + 0.5, y + 0.5)
+    lie inside it (even-odd rule), sorted by index, then y, then x. A
+    polygon with fewer than 3 vertices has no runs.
 
     Parity target: `Polygon::fill_iter`
     (/root/reference/ocrs/src/recognition.rs:110) — copies masked pixels
     of a line region.
     """
-    poly = np.asarray(poly_xy, dtype=np.float64)
-    if len(poly) < 3:
-        return []
-    x1 = poly[:, 0]
-    y1 = poly[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
+    empty = np.zeros(0, dtype=np.int64)
+    polys = [np.asarray(p, dtype=np.float64).reshape(-1, 2) for p in polys]
+    index = [i for i, p in enumerate(polys) if len(p) >= 3]
+    if not index:
+        return empty, empty, empty, empty
+    pts = np.concatenate([polys[i] for i in index])
+    sizes = np.array([len(polys[i]) for i in index])
+    first = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, len(pts) + 1)
+    nxt[first + sizes - 1] = first
+    x1 = pts[:, 0]
+    y1 = pts[:, 1]
+    x2 = x1[nxt]
+    y2 = y1[nxt]
     # Vectorized over ALL (edge, scanline) crossings at once. An edge
-    # crosses scanline center yc iff min(y1,y2) <= yc < max(y1,y2)
-    # (identical to the per-row mask this replaces); the integer y range
-    # per edge is [ceil(ylo-0.5), ceil(yhi-0.5)).
+    # crosses scanline center yc iff min(y1,y2) <= yc < max(y1,y2); the
+    # integer y range per edge is [ceil(ylo-0.5), ceil(yhi-0.5)).
     ylo = np.minimum(y1, y2)
     yhi = np.maximum(y1, y2)
     y_start = np.ceil(ylo - 0.5).astype(np.int64)
@@ -642,20 +653,23 @@ def polygon_fill_rows(poly_xy: np.ndarray) -> list[tuple[int, int, int]]:
     counts = np.maximum(0, y_end - y_start)
     total = int(counts.sum())
     if total == 0:
-        return []
-    edge = np.repeat(np.arange(len(poly)), counts)
+        return empty, empty, empty, empty
+    edge = np.repeat(np.arange(len(pts)), counts)
     k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     y = y_start[edge] + k
     yc = y + 0.5
     t = (yc - y1[edge]) / (y2[edge] - y1[edge])
     xs = x1[edge] + t * (x2[edge] - x1[edge])
-    # Sort crossings by (scanline, x) and pair consecutive ones
+    pid = np.repeat(np.repeat(np.array(index, dtype=np.int64), sizes), counts)
+    # Sort crossings by (polygon, scanline, x) and pair consecutive ones
     # (even-odd rule). Degenerate odd-size groups drop the last
-    # unpaired crossing, as the per-row pairing loop did.
-    order = np.lexsort((xs, y))
+    # unpaired crossing.
+    order = np.lexsort((xs, y, pid))
     y = y[order]
     xs = xs[order]
-    starts = np.concatenate([[0], np.flatnonzero(y[1:] != y[:-1]) + 1])
+    pid = pid[order]
+    new_row = (y[1:] != y[:-1]) | (pid[1:] != pid[:-1])
+    starts = np.concatenate([[0], np.flatnonzero(new_row) + 1])
     glen = np.diff(np.concatenate([starts, [total]]))
     rank = np.arange(total) - np.repeat(starts, glen)
     is_a = (rank % 2 == 0) & (rank + 1 < np.repeat(glen, glen))
@@ -664,7 +678,13 @@ def polygon_fill_rows(poly_xy: np.ndarray) -> list[tuple[int, int, int]]:
     x_start = np.ceil(xa - 0.5 + 1e-9).astype(np.int64)
     x_end = np.ceil(xb - 0.5 - 1e-9).astype(np.int64)
     keep = x_end > x_start
-    return list(zip(y[is_a][keep].tolist(), x_start[keep].tolist(), x_end[keep].tolist()))
+    return pid[is_a][keep], y[is_a][keep], x_start[keep], x_end[keep]
+
+
+def polygon_fill_rows(poly_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scanline fill of one polygon: int64 arrays (y, x_start, x_end) of
+    `polygons_fill_rows`' runs, sorted by y then x."""
+    return polygons_fill_rows([poly_xy])[1:]
 
 
 def polygon_is_simple(poly_xy: np.ndarray) -> bool:
@@ -685,11 +705,3 @@ def polygon_is_simple(poly_xy: np.ndarray) -> bool:
             if segments_intersect(a, b, c, d):
                 return False
     return True
-
-
-def polygon_contains_pixel(poly_xy: np.ndarray, x: int, y: int) -> bool:
-    """Even-odd test whether pixel (x, y) center lies inside polygon."""
-    for ry, xs, xe in polygon_fill_rows(poly_xy):
-        if ry == y and xs <= x < xe:
-            return True
-    return False

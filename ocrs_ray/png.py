@@ -63,46 +63,96 @@ def encode_png(img: np.ndarray) -> bytes:
     )
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
+def _wavefront(buf: np.ndarray, rows: np.ndarray, first: np.ndarray, ftypes: np.ndarray) -> None:
+    """Undo Up, Average and Paeth rows in place, one anti-diagonal at a time.
+
+    `buf` is the int16 (h + 1, npix + 1, bpp) image with a zero row on
+    top and a zero pixel on the left, so every pixel's left, up and
+    up-left neighbours exist. `rows` lists the image rows to undo and
+    `first` each one's run start: a run's first row follows a final row
+    (or the zero row). Pixel k of the row j rows into its run depends
+    only on pixels of anti-diagonal j + k - 1 or earlier, so all pixels
+    with the same j + k are undone together; the byte arithmetic is the
+    per-byte loop's, on whole diagonals.
+    """
+    _, npix, bpp = buf.shape
+    npix -= 1
+    flat = buf.reshape(-1)
+    row_len = (npix + 1) * bpp
+    j = rows - first
+    order = np.argsort(j, kind="stable")
+    j = j[order]
+    kind = ftypes[rows[order]]
+    # Flat offset of each row's pixel 0, channel 0 (buffer row r + 1, pixel 1).
+    base = (rows[order] + 1) * row_len + bpp
+    chan = np.arange(bpp)
+    steps = np.arange(int(j[-1]) + npix)
+    lo = np.searchsorted(j, steps - npix, side="right")
+    hi = np.searchsorted(j, steps, side="right")
+    kinds = np.unique(kind).tolist()
+    for d, a0, a1 in zip(steps.tolist(), lo.tolist(), hi.tolist()):
+        idx = (base[a0:a1] + (d - j[a0:a1]) * bpp)[:, None] + chan
+        up = flat[idx - row_len]
+        preds = {2: up}
+        if 3 in kinds or 4 in kinds:
+            left = flat[idx - bpp]
+        if 3 in kinds:
+            preds[3] = (left + up) >> 1
+        if 4 in kinds:
+            upleft = flat[idx - row_len - bpp]
+            pa = np.abs(up - upleft)
+            pb = np.abs(left - upleft)
+            pc = np.abs(left + up - 2 * upleft)
+            preds[4] = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+        pred = preds[kinds[0]]
+        for t in kinds[1:]:
+            pred = np.where(kind[a0:a1, None] == t, preds[t], pred)
+        flat[idx] = (flat[idx] + pred) & 0xFF
 
 
 def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
-    """Undo per-scanline filtering -> (h, stride) raw bytes."""
+    """Undo per-scanline filtering -> (h, stride) raw bytes.
+
+    None rows are final as read and Sub rows are a per-channel uint8
+    accumulate along the row, both for all such rows at once. The rows
+    of a run of Up rows are an accumulate down the rows from the final
+    row above the run. A run of Up, Average and Paeth rows holding at
+    least one of the latter two goes to `_wavefront`, all such runs in
+    one pass. uint8 arithmetic wraps, as the format's mod-256 sums do.
+    """
     rows = data.reshape(h, 1 + stride)
-    out = np.zeros((h, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(h):
-        ftype = int(rows[y, 0])
-        line = rows[y, 1:].astype(np.int32)
-        if ftype == 0:  # None
-            cur = line
-        elif ftype == 1:  # Sub: x += left — per-channel cumulative sum
-            cur = line.reshape(-1, bpp)
-            cur = np.add.accumulate(cur, axis=0, dtype=np.int64) % 256
-            cur = cur.reshape(-1)
-        elif ftype == 2:  # Up
-            cur = (line + prev) % 256
-        elif ftype == 3:  # Average: sequential in x
-            cur = np.empty(stride, dtype=np.int32)
-            for i in range(stride):
-                left = cur[i - bpp] if i >= bpp else 0
-                cur[i] = (line[i] + ((left + int(prev[i])) >> 1)) % 256
-        elif ftype == 4:  # Paeth: sequential in x
-            cur = np.empty(stride, dtype=np.int32)
-            for i in range(stride):
-                a = cur[i - bpp] if i >= bpp else 0
-                b = int(prev[i])
-                cc = int(prev[i - bpp]) if i >= bpp else 0
-                cur[i] = (line[i] + _paeth(int(a), b, cc)) % 256
+    ftypes = rows[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        y = int(bad[0])
+        raise ValueError(f"bad PNG filter type {int(ftypes[y])} on row {y}")
+    out = rows[:, 1:].copy()
+    sub = np.flatnonzero(ftypes == 1)
+    if sub.size:
+        cur = out[sub].reshape(sub.size, -1, bpp)
+        out[sub] = np.add.accumulate(cur, axis=1, dtype=np.uint8).reshape(sub.size, stride)
+    dep = ftypes >= 2
+    if not dep.any():
+        return out
+    # Maximal runs of rows that depend on the row above: [starts, ends).
+    edges = np.diff(np.concatenate(([0], dep.view(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    wave = []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if (ftypes[a:b] == 2).all():
+            a0 = max(a - 1, 0)
+            np.add.accumulate(out[a0:b], axis=0, dtype=np.uint8, out=out[a0:b])
         else:
-            raise ValueError(f"bad PNG filter type {ftype} on row {y}")
-        prev = cur.astype(np.uint8)
-        out[y] = prev
+            wave.append((a, b))
+    if wave:
+        npix = stride // bpp
+        buf = np.zeros((h + 1, npix + 1, bpp), dtype=np.int16)
+        buf[1:, 1:] = out.reshape(h, npix, bpp)
+        wrows = np.concatenate([np.arange(a, b) for a, b in wave])
+        first = np.concatenate([np.full(b - a, a) for a, b in wave])
+        _wavefront(buf, wrows, first, ftypes)
+        out = buf[1:, 1:].reshape(h, stride).astype(np.uint8)
     return out
 
 

@@ -85,12 +85,17 @@ def prepare_image(img: np.ndarray, order: str = "hwc") -> np.ndarray:
         raise ValueError(f"unknown dim order: {order}")
 
     n_chans = hwc.shape[2]
+    scale = np.float32(1.0) / np.float32(255.0) if hwc.dtype == np.uint8 else None
     if n_chans == 1:
-        weights = np.array([1.0], dtype=np.float32)
-    else:
-        weights = ITU_WEIGHTS
-    if hwc.dtype == np.uint8:
-        weights = weights / np.float32(255.0)
+        # One channel: `v * w + BLACK_VALUE` elementwise is the same single
+        # float32 product and sum as the (H, W, 1) @ (1,) matmul, without
+        # the matmul's per-pixel overhead.
+        grey = np.empty((1,) + hwc.shape[:2], dtype=np.float32)
+        w = np.float32(1.0) if scale is None else scale
+        np.multiply(hwc[:, :, 0], w, out=grey[0], dtype=np.float32)
+        grey += np.float32(BLACK_VALUE)
+        return grey
+    weights = ITU_WEIGHTS if scale is None else ITU_WEIGHTS / np.float32(255.0)
     hwc_f = hwc.astype(np.float32, copy=False)
     used = hwc_f[:, :, : len(weights)]
     grey = used @ weights + np.float32(BLACK_VALUE)

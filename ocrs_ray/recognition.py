@@ -24,7 +24,7 @@ from .geometry import (
     bounding_rect_f,
     downwards_line,
     leftmost_edge,
-    polygon_fill_rows,
+    polygons_fill_rows,
     rightmost_edge,
     rust_round,
 )
@@ -83,6 +83,58 @@ class TextRecLine:
     resized_width: int
 
 
+def _line_canvases(
+    image: np.ndarray, page_rect: Rect, regions: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Each line region's polygon-masked pixels on a BLACK_VALUE canvas
+    sized to the region's bounding rect, all regions in one pass.
+
+    Parity: the reference's ocrs/src/recognition.rs:91-117, including
+    the page-rect clamping of both source and destination coordinates.
+    """
+    if not regions:
+        return []
+    page = page_rect.adjust_tlbr(0, 0, -1, -1)
+    # Per region: canvas shape and offset in one flat buffer, and the
+    # clamps. Source rows must lie in the page; destination (line-local)
+    # rows (y - top) are clamped against the page rect too (reference
+    # quirk) and to the canvas. Columns are clamped to the page, to the
+    # page shifted by `left` and to the canvas; the destination column
+    # is the source column minus `left`.
+    shapes, params, offset = [], [], 0
+    for region in regions:
+        pts = region.astype(np.int64, copy=False)
+        left, top = pts.min(axis=0).tolist()
+        right, bottom = pts.max(axis=0).tolist()
+        lh, lw = max(bottom - top, 1), max(right - left, 1)
+        params.append((
+            max(page.top, top + page.top),
+            min(page.bottom, top + page.bottom, top + lh - 1),
+            max(page.left, left + max(page.left, 0)),
+            min(page.right + 1, left + min(page.right + 1, lw)),
+            lw,
+            offset - top * lw - left,
+        ))
+        shapes.append((offset, lh, lw))
+        offset += lh * lw
+    buf = np.full(offset, np.float32(BLACK_VALUE), dtype=np.float32)
+
+    idx, ys, x0, x1 = polygons_fill_rows(regions)
+    y_lo, y_hi, x_lo, x_hi, lw, base = np.array(params, dtype=np.int64)[idx].T
+    x0 = np.maximum(x0, x_lo)
+    x1 = np.minimum(x1, x_hi)
+    keep = np.flatnonzero((y_lo <= ys) & (ys <= y_hi) & (x0 < x1))
+    if keep.size:
+        ys, x0, lw, base = ys[keep], x0[keep], lw[keep], base[keep]
+        lens = x1[keep] - x0
+        # Pixel i of the copy lies in run r, at column x0[r] + i - start[r].
+        step = np.repeat(np.cumsum(lens) - lens - x0, lens)
+        sx = np.arange(len(step)) - step
+        sy = np.repeat(ys, lens)
+        buf[np.repeat(base + ys * lw, lens) + sx] = image[0][sy, sx]
+    return [buf[o : o + lh * lw].reshape(lh, lw) for o, lh, lw in shapes]
+
+
 def prepare_text_line(
     image: np.ndarray,
     page_rect: Rect,
@@ -93,44 +145,12 @@ def prepare_text_line(
     """Extract a line region into a BLACK_VALUE canvas and resize.
 
     Copies polygon-masked pixels from the greyscale channel into a
-    canvas sized to the region's bounding rect, then bilinear-resizes to
-    (output_height, resized_width).
-    Parity: /root/reference/ocrs/src/recognition.rs:91-126, including
-    the page-rect clamping of both source and destination coordinates.
+    canvas sized to the region's bounding rect (`_line_canvases`), then
+    bilinear-resizes to (output_height, resized_width).
+    Parity: the reference's ocrs/src/recognition.rs:91-126.
     """
-    page_index_rect = page_rect.adjust_tlbr(0, 0, -1, -1)
-    grey = image[0]
-    xs_all = line_region[:, 0]
-    ys_all = line_region[:, 1]
-    top, left = int(ys_all.min()), int(xs_all.min())
-    bottom, right = int(ys_all.max()), int(xs_all.max())
-    lh, lw = bottom - top, right - left
-    line_img = np.full((max(lh, 1), max(lw, 1)), np.float32(BLACK_VALUE), dtype=np.float32)
-
-    for y, x0, x1 in polygon_fill_rows(line_region):
-        # Source coords must lie in the page; destination (line-local)
-        # coords are clamped against the page rect too (reference quirk).
-        in_y = y
-        if not (page_index_rect.top <= in_y <= page_index_rect.bottom):
-            continue
-        out_y = in_y - top
-        if not (page_index_rect.top <= out_y <= page_index_rect.bottom):
-            continue
-        if out_y >= line_img.shape[0]:
-            continue
-        ix0 = max(x0, page_index_rect.left, left + page_index_rect.left)
-        ix1 = min(x1, page_index_rect.right + 1, left + page_index_rect.right + 1)
-        ix1 = min(ix1, left + line_img.shape[1])
-        ox0 = ix0 - left
-        if ox0 < 0:
-            ix0 -= ox0
-            ox0 = 0
-        if ix1 <= ix0:
-            continue
-        line_img[out_y, ox0 : ox0 + (ix1 - ix0)] = grey[in_y, ix0:ix1]
-
-    resized = resize_bilinear(line_img[None, None], output_height, resized_width)
-    return resized[0, 0]
+    (canvas,) = _line_canvases(image, page_rect, [line_region])
+    return resize_bilinear(canvas[None, None], output_height, resized_width)[0, 0]
 
 
 def prepare_text_line_batch(
@@ -149,11 +169,10 @@ def prepare_text_line_batch(
         np.float32(BLACK_VALUE),
         dtype=np.float32,
     )
-    for i, line in enumerate(lines):
-        img = prepare_text_line(
-            image, page_rect, line.region, line.resized_width, output_height
-        )
-        out[i, 0, :, : line.resized_width] = img
+    canvases = _line_canvases(image, page_rect, [line.region for line in lines])
+    for i, (line, canvas) in enumerate(zip(lines, canvases)):
+        resized = resize_bilinear(canvas[None, None], output_height, line.resized_width)
+        out[i, 0, :, : line.resized_width] = resized[0, 0]
     return out
 
 
@@ -243,8 +262,9 @@ def text_lines_from_recognition_results(
 class TextRecognizer:
     """Extracts char sequences + coords from detected text lines.
 
-    Designed for a Ray actor-pool stage: model loaded once in
-    `__init__`, `recognize_text_lines` called per image.
+    Built once per worker process, inside the OCR task stage's warm
+    engine (model load in `__init__`); `recognize_text_lines` runs per
+    image.
     """
 
     #: Width buckets are multiples of 50 px; batches cap at 20 lines.

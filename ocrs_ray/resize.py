@@ -4,45 +4,105 @@ Equivalent surface to rten's `resize_image` (ONNX Resize, linear,
 half_pixel coordinate transform) as used at
 /root/reference/ocrs/src/detection.rs:167-171,187-194 and
 /root/reference/ocrs/src/recognition.rs:119-121.
+
+Exactness: each output is `lo + (hi - lo) * w` in float32, the H pass
+first, then the W pass on its result, as in the plain fancy-indexed form
+`top + (bot - top) * wy` / `left + (right - left) * wx`. The passes here
+run the same float32 operations on the same operands in the same order,
+only in place (`bot -= top; bot *= wy; bot = top + bot`) and, for a
+large output, a tile of rows at a time, so every output is bit for bit
+the same. IEEE `+` is commutative, so writing the sum into `bot` rounds
+exactly as `top + bot` does; the sum is still taken as `top + bot`
+because x86 returns the first operand's NaN when both are NaN, and the
+sign of that NaN would otherwise change. An axis whose size does not
+change still runs its pass with a zero weight (`x + (x - x) * 0`),
+which turns -0.0 into +0.0 and inf into nan exactly as the plain form
+does.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["resize_bilinear"]
 
+#: Elements per W-pass tile: two float32 gather buffers of this size
+#: (256 KiB each) stay in L2 while the three arithmetic passes run.
+_TILE = 1 << 16
 
-def _axis_weights(in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source indices (lo, hi) and hi-weights for one axis."""
+
+@lru_cache(maxsize=256)
+def _axis_weights(in_size: int, out_size: int) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """Source indices (lo, hi) and hi-weights for one axis, read-only.
+
+    An unchanged axis has no indices (`lo` and `hi` are the input
+    itself) and all-zero weights.
+    """
     if out_size == in_size:
-        idx = np.arange(in_size)
-        return idx, idx, np.zeros(in_size, dtype=np.float32)
+        w_hi = np.zeros(in_size, dtype=np.float32)
+        w_hi.flags.writeable = False
+        return None, None, w_hi
     scale = out_size / in_size
     src = (np.arange(out_size, dtype=np.float64) + 0.5) / scale - 0.5
     src = np.clip(src, 0.0, in_size - 1)
-    lo = np.floor(src).astype(np.int64)
+    lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, in_size - 1)
     w_hi = (src - lo).astype(np.float32)
+    for a in (lo, hi, w_hi):
+        a.flags.writeable = False
     return lo, hi, w_hi
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize the last two axes of `img` to (out_h, out_w).
 
-    Accepts (..., H, W) float arrays; returns float32.
+    Accepts (..., H, W) float arrays; returns float32 (`img` itself when
+    both sizes are unchanged).
     """
     img = np.asarray(img, dtype=np.float32)
     h, w = img.shape[-2], img.shape[-1]
     if h == out_h and w == out_w:
         return img
+    lead = img.shape[:-2]
+    # H pass: rows = top + (bot - top) * wy, in place in `bot`.
     ylo, yhi, wy = _axis_weights(h, out_h)
+    if ylo is None:
+        top, bot = img, np.subtract(img, img)
+    else:
+        top = np.take(img, ylo, axis=-2)
+        bot = np.take(img, yhi, axis=-2)
+        bot -= top
+    bot *= wy[:, None]
+    np.add(top, bot, out=bot)
+    n = math.prod(bot.shape[:-1])
+    rows = bot.reshape(n, w)
+    # W pass: out = left + (right - left) * wx, in place in `right`; a
+    # large output goes a tile of rows at a time through two buffers.
     xlo, xhi, wx = _axis_weights(w, out_w)
-    # Interpolate along H.
-    top = img[..., ylo, :]
-    bot = img[..., yhi, :]
-    rows = top + (bot - top) * wy[:, None]
-    # Interpolate along W.
-    left = rows[..., :, xlo]
-    right = rows[..., :, xhi]
-    return left + (right - left) * wx[None, :]
+    if xlo is None:
+        out = np.subtract(rows, rows)
+        out *= wx
+        np.add(rows, out, out=out)
+    elif n * out_w <= _TILE:
+        out = rows[:, xhi]
+        left = rows[:, xlo]
+        out -= left
+        out *= wx
+        np.add(left, out, out=out)
+    else:
+        out = np.empty((n, out_w), dtype=np.float32)
+        tile = max(1, _TILE // out_w)
+        left = np.empty((tile, out_w), dtype=np.float32)
+        for r0 in range(0, n, tile):
+            src = rows[r0 : r0 + tile]
+            dst = out[r0 : r0 + tile]
+            lbuf = left[: len(src)]
+            np.take(src, xlo, axis=1, out=lbuf, mode="clip")
+            np.take(src, xhi, axis=1, out=dst, mode="clip")
+            dst -= lbuf
+            dst *= wx
+            np.add(lbuf, dst, out=dst)
+    return out.reshape(*lead, out_h, out_w)

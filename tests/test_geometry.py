@@ -112,7 +112,7 @@ def test_simplify_polygon():
 def test_polygon_fill_rect():
     poly = np.array([[0, 0], [4, 0], [4, 3], [0, 3]])
     runs = polygon_fill_rows(poly)
-    pixels = {(y, x) for y, x0, x1 in runs for x in range(x0, x1)}
+    pixels = {(y, x) for y, x0, x1 in zip(*runs) for x in range(x0, x1)}
     assert pixels == {(y, x) for y in range(3) for x in range(4)}
 
 

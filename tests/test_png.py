@@ -106,6 +106,27 @@ def test_rejects_bad_inputs():
         encode_png(img.astype(np.float32))
 
 
+def test_rejects_bad_filter_type_and_truncated_scanlines():
+    """A filter byte above 4 names its value and row; scanline data
+    shorter than the header promises is a size mismatch."""
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 256, size=(6, 1 + 5 * 3), dtype=np.uint8)
+    rows[:, 0] = [0, 1, 4, 2, 3, 0]
+    ihdr = struct.pack(">IIBBBBB", 5, 6, 8, 2, 0, 0, 0)
+    decode_png(_png(ihdr, rows.tobytes()))  # valid as it stands
+    for bad in (5, 255):
+        broken = rows.copy()
+        broken[3, 0] = bad
+        broken[5, 0] = 7  # only the first bad row is reported
+        with pytest.raises(ValueError, match=f"bad PNG filter type {bad} on row 3"):
+            decode_png(_png(ihdr, broken.tobytes()))
+    with pytest.raises(ValueError, match="PNG scanline data size mismatch"):
+        decode_png(_png(ihdr, rows.tobytes()[:-1]))
+    with pytest.raises(ValueError, match="PNG interlaced data size mismatch"):
+        img = rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+        decode_png(_png(struct.pack(">IIBBBBB", 5, 6, 8, 2, 0, 0, 1), _adam7_idat(img)[:-1]))
+
+
 def test_roundtrip_property():
     """Hypothesis: encode->decode is the identity for any u8 image
     shape/channel count the encoder accepts."""
