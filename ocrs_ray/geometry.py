@@ -29,7 +29,6 @@ __all__ = [
     "rightmost_edge",
     "downwards_line",
     "simplify_polygon",
-    "polygon_fill_rows",
     "polygons_fill_rows",
     "polygon_is_simple",
 ]
@@ -679,12 +678,6 @@ def polygons_fill_rows(
     x_end = np.ceil(xb - 0.5 - 1e-9).astype(np.int64)
     keep = x_end > x_start
     return pid[is_a][keep], y[is_a][keep], x_start[keep], x_end[keep]
-
-
-def polygon_fill_rows(poly_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scanline fill of one polygon: int64 arrays (y, x_start, x_end) of
-    `polygons_fill_rows`' runs, sorted by y then x."""
-    return polygons_fill_rows([poly_xy])[1:]
 
 
 def polygon_is_simple(poly_xy: np.ndarray) -> bool:

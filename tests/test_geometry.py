@@ -11,8 +11,8 @@ from ocrs_ray.geometry import (
     RotatedRect,
     leftmost_edge,
     min_area_rect,
-    polygon_fill_rows,
     polygon_is_simple,
+    polygons_fill_rows,
     rightmost_edge,
     rust_round,
     simplify_polygon,
@@ -111,7 +111,7 @@ def test_simplify_polygon():
 
 def test_polygon_fill_rect():
     poly = np.array([[0, 0], [4, 0], [4, 3], [0, 3]])
-    runs = polygon_fill_rows(poly)
+    runs = polygons_fill_rows([poly])[1:]
     pixels = {(y, x) for y, x0, x1 in zip(*runs) for x in range(x0, x1)}
     assert pixels == {(y, x) for y in range(3) for x in range(4)}
 

@@ -20,7 +20,6 @@ from ocrs_ray.geometry import (
     Rect,
     RotatedRect,
     bounding_rect_f,
-    polygon_fill_rows,
     polygons_fill_rows,
 )
 from ocrs_ray.layout import find_text_lines
@@ -43,7 +42,7 @@ def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def assert_same_fill(poly: np.ndarray) -> None:
-    ys, x0, x1 = polygon_fill_rows(poly)
+    ys, x0, x1 = polygons_fill_rows([poly])[1:]
     assert ys.dtype == x0.dtype == x1.dtype == np.int64
     assert list(zip(ys.tolist(), x0.tolist(), x1.tolist())) == oracle.polygon_fill_rows(poly)
 
@@ -166,8 +165,7 @@ def test_resize_matches_oracle_on_seeded_shapes():
 def test_resize_cache_is_read_only():
     for in_size, out_size in [(10, 10), (10, 25), (25, 10)]:
         for a in _axis_weights(in_size, out_size):
-            if a is not None:
-                assert not a.flags.writeable
+            assert not a.flags.writeable
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 1, 30, 40)).astype(np.float32)
     for oh, ow in [(64, 90), (30, 80), (12, 40), (600, 800)]:
