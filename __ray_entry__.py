@@ -230,8 +230,6 @@ def _ocr_joined_flat(sf_dir: str):
     """Flagship pipeline with the media table held by reference (the
     large-media-table store: a media Dataset, not a broadcast dict),
     flattened — same oracle as the broadcast path."""
-    import ray.data as rd
-
     from ocrs_ray.pipeline import (
         MEDIA_COLUMNS,
         OcrPipelineConfig,
@@ -239,9 +237,10 @@ def _ocr_joined_flat(sf_dir: str):
         explode_spans,
         read_spans_lance as read_spans,
     )
+    from ocrs_ray.session import read_table
 
     paths = _corpus_for(sf_dir)
-    media = rd.read_parquet(paths["media"], columns=MEDIA_COLUMNS)
+    media = read_table(paths["media"], columns=MEDIA_COLUMNS)
     docs = build_ocr_pipeline(
         read_spans(paths["spans"]), media, OcrPipelineConfig(ocr_concurrency=(1, 4))
     )

@@ -25,7 +25,9 @@ import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
+from ..session import read_table
 from .relational import MICRO, round_half_away, tree_sum
+from .text import read_documents
 
 __all__ = [
     "events_time_to_purchase",
@@ -70,14 +72,6 @@ TOKEN_RE = r"[a-z]+"
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
-def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-
-def _read_events(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
-
-
 # ---------------------------------------------------------------------------
 # Vocabulary / TF-IDF
 # ---------------------------------------------------------------------------
@@ -113,12 +107,6 @@ def _token_count_partial(batch: pd.DataFrame) -> pd.DataFrame:
     return _counts_frame(_count_tokens(batch["text"]), "token", "n")
 
 
-def _tree_sum(ds: rd.Dataset, key: str, val: str, fanin: int = 8) -> rd.Dataset:
-    """Single-key/-value wrapper over relational.tree_sum (see its
-    docstring for the bounded-key-space correctness argument)."""
-    return tree_sum(ds, [key], [val], fanin=fanin)
-
-
 def vocab_top_terms(sf_dir: str, k: int = 20) -> rd.Dataset:
     """Global top-k tokens by frequency (ties: token ascending).
 
@@ -126,12 +114,12 @@ def vocab_top_terms(sf_dir: str, k: int = 20) -> rd.Dataset:
     space, so no hash shuffle is needed) -> top-k on the single merged
     block.
     """
-    totals = _tree_sum(
-        _read_docs(sf_dir, ["text"]).map_batches(
+    totals = tree_sum(
+        read_documents(sf_dir, ["text"]).map_batches(
             _token_count_partial, batch_format="pandas"
         ),
-        "token",
-        "n",
+        ["token"],
+        ["n"],
     )
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -163,8 +151,6 @@ def _doc_score_cogroup(
     Exact: micro-scores are integers, so tf*score partials sum
     order-independently."""
     import pyarrow as pa
-
-    from ocrs_ray.pipeline import enable_hash_shuffle
 
     def tagged_empty() -> pa.Table:
         cols = {"doc_id": pa.array([], type=pa.int64())}
@@ -229,11 +215,9 @@ def _doc_score_cogroup(
     tagged = doc_terms.map_batches(tag_docs, batch_format="pandas").union(
         scores.map_batches(tag_scores, batch_format="pandas")
     )
-    enable_hash_shuffle(tagged)
     partials = tagged.repartition(npart, keys=key_cols).map_batches(
         attach, batch_format="pandas", batch_size=None
     )
-    enable_hash_shuffle(partials)
     return partials.repartition(npart, keys=["doc_id"]).map_batches(
         finish, batch_format="pandas", batch_size=None
     )
@@ -272,12 +256,12 @@ def lm_quality_score(
     """
     from ocrs_ray.pipeline import default_npart
 
-    totals = _tree_sum(
-        _read_docs(sf_dir, ["text"]).map_batches(
+    totals = tree_sum(
+        read_documents(sf_dir, ["text"]).map_batches(
             _token_count_partial, batch_format="pandas"
         ),
-        "token",
-        "n",
+        ["token"],
+        ["n"],
     ).materialize()
     total = int(
         totals.map_batches(
@@ -321,7 +305,7 @@ def lm_quality_score(
                 }
             )
 
-        return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             score, batch_format="pandas"
         )
 
@@ -337,7 +321,7 @@ def lm_quality_score(
         ),
         batch_format="pandas",
     )
-    doc_terms = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+    doc_terms = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         _doc_term_tf, batch_format="pandas"
     ).map_batches(
         lambda df: df.rename(columns={"term": "token"}), batch_format="pandas"
@@ -403,13 +387,10 @@ def lm_bigram_score(
     (broadcast_limit_bytes=0 forces the cogroup). Bigrams unseen in
     pass 1 cannot occur in pass 2 (same corpus, same tokenizer).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     totals = tree_sum(
-        _read_docs(sf_dir, ["text"]).map_batches(
+        read_documents(sf_dir, ["text"]).map_batches(
             _bigram_count_partial, batch_format="pandas"
         ),
         ["w1", "w2"],
@@ -448,7 +429,7 @@ def lm_bigram_score(
                 }
             )
 
-        return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             score, batch_format="pandas"
         )
 
@@ -480,7 +461,6 @@ def lm_bigram_score(
             }
         )
 
-    enable_hash_shuffle(totals)
     scores = totals.repartition(npart, keys=["w1"]).map_batches(
         cond_logp, batch_format="pandas", batch_size=None
     )
@@ -529,7 +509,7 @@ def lm_bigram_score(
             }
         )
 
-    doc_terms = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+    doc_terms = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         doc_bigram_tf, batch_format="pandas"
     )
     out = _doc_score_cogroup(doc_terms, scores, ["w1", "w2"], npart)
@@ -580,10 +560,10 @@ def document_frequency(sf_dir: str) -> rd.Dataset:
             _count_tokens(batch["text"], per_doc_unique=True), "term", "df"
         )
 
-    return _tree_sum(
-        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pandas"),
-        "term",
-        "df",
+    return tree_sum(
+        read_documents(sf_dir, ["text"]).map_batches(partial, batch_format="pandas"),
+        ["term"],
+        ["df"],
     )
 
 
@@ -634,10 +614,7 @@ def tfidf_top_terms(
     co-locates each document for the same rank kernel. Both paths are
     exact and test-pinned equal (broadcast_limit_bytes=0 forces the
     cogroup)."""
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     df_ds = document_frequency(sf_dir).materialize()
 
@@ -652,7 +629,7 @@ def tfidf_top_terms(
             tf["df"] = tf["term"].map(worker_value(df_ref)).astype("int64")
             return _tfidf_rank(tf, k)
 
-        return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             scorer, batch_format="pandas"
         )
 
@@ -708,15 +685,13 @@ def tfidf_top_terms(
         return _tfidf_rank(df[["doc_id", "term", "tf", "df"]].copy(), k)
 
     tagged = (
-        _read_docs(sf_dir, ["doc_id", "text"])
+        read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(tag_tf, batch_format="pandas")
         .union(df_ds.map_batches(tag_df, batch_format="pandas"))
     )
-    enable_hash_shuffle(tagged)
     joined = tagged.repartition(npart, keys=["term"]).map_batches(
         attach, batch_format="pandas", batch_size=None
     )
-    enable_hash_shuffle(joined)
     return joined.repartition(npart, keys=["doc_id"]).map_batches(
         rank_block, batch_format="pandas", batch_size=None
     )
@@ -760,9 +735,9 @@ def events_topk_per_group(sf_dir: str, k: int = 3) -> rd.Dataset:
             df["rank"] <= k, ["event_type", "event_id", "value_micro", "rank"]
         ].reset_index(drop=True)
 
-    ds = _read_events(sf_dir, ["event_id", "event_type", "value"]).map_batches(
-        local_topk, batch_format="pandas"
-    )
+    ds = read_table(
+        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
+    ).map_batches(local_topk, batch_format="pandas")
     return ds.repartition(1).map_batches(
         local_topk, batch_format="pandas", batch_size=None
     )
@@ -821,13 +796,12 @@ def events_global_cumsum(sf_dir: str, n_buckets: int = 16) -> rd.Dataset:
     partition budget — one bucket must fit a worker block. Values ride
     as round-half-away micro-units, bit-exact vs the SQL window.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
-    max_id = int(_read_events(sf_dir, ["event_id"]).max("event_id"))
+    max_id = int(
+        read_table(f"{sf_dir}/events.parquet", columns=["event_id"]).max("event_id")
+    )
     width = max(1, (max_id + n_buckets) // n_buckets)
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -841,7 +815,7 @@ def events_global_cumsum(sf_dir: str, n_buckets: int = 16) -> rd.Dataset:
         return g
 
     parts = (
-        _read_events(sf_dir, ["event_id", "value"])
+        read_table(f"{sf_dir}/events.parquet", columns=["event_id", "value"])
         .map_batches(partials, batch_format="pandas")
         .to_pandas()
     )
@@ -883,10 +857,9 @@ def events_global_cumsum(sf_dir: str, n_buckets: int = 16) -> rd.Dataset:
             )
         return pd.concat(out, ignore_index=True)
 
-    ds = _read_events(sf_dir, ["event_id", "value"]).map_batches(
-        add_bucket, batch_format="pandas"
-    )
-    enable_hash_shuffle(ds)
+    ds = read_table(
+        f"{sf_dir}/events.parquet", columns=["event_id", "value"]
+    ).map_batches(add_bucket, batch_format="pandas")
     return ds.repartition(npart, keys=["bucket"]).map_batches(
         scan_block, batch_format="pandas", batch_size=None
     )
@@ -915,12 +888,9 @@ def events_user_pivot(sf_dir: str) -> rd.Dataset:
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("user_id", as_index=False)[vals].sum()
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    ds = _read_events(sf_dir, ["user_id", "event_type", "value"]).map_batches(
-        partial, batch_format="pandas"
-    )
-    enable_hash_shuffle(ds)
+    ds = read_table(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
+    ).map_batches(partial, batch_format="pandas")
     return ds.repartition(8, keys=["user_id"]).map_batches(
         merge, batch_format="pandas", batch_size=None
     )
@@ -936,8 +906,6 @@ def heavy_hitters_exact(sf_dir: str, k: int = 20) -> rd.Dataset:
     per-batch combiner -> keyed repartition (each user's partials land
     in one block, so block top-k is globally valid) -> block merge+top-k
     -> final top-k on the <= 8k surviving rows."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         g = batch.groupby("user_id", as_index=False).size()
         return pd.DataFrame(
@@ -951,10 +919,9 @@ def heavy_hitters_exact(sf_dir: str, k: int = 20) -> rd.Dataset:
     def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
         return local_topk(df.groupby("user_id", as_index=False)["n"].sum())
 
-    ds = _read_events(sf_dir, ["user_id"]).map_batches(
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id"]).map_batches(
         partial, batch_format="pandas"
     )
-    enable_hash_shuffle(ds)
     return (
         ds.repartition(8, keys=["user_id"])
         .map_batches(merge_topk, batch_format="pandas", batch_size=None)
@@ -1020,7 +987,7 @@ def heavy_hitters_sketch(sf_dir: str, k: int = 20, capacity: int = 256) -> rd.Da
         )
         return merged.head(k).reset_index(drop=True)
 
-    ds = _read_events(sf_dir, ["user_id"]).map_batches(
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id"]).map_batches(
         _mg_summarize, fn_kwargs={"capacity": capacity}, batch_format="pandas"
     )
     return ds.repartition(1).map_batches(
@@ -1049,7 +1016,7 @@ def stratified_sample_documents(sf_dir: str) -> rd.Dataset:
         rates = df["lang"].map(STRATA_RATES).fillna(1).astype("int64").to_numpy()
         return df.loc[md5_bucket(df["doc_id"]) % rates == 0, ["doc_id", "lang", "n_chars"]]
 
-    return _read_docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
+    return read_documents(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
         keep, batch_format="pandas"
     )
 
@@ -1162,8 +1129,6 @@ def _cc_converge(
     per-round driver check is a tiny edge-set checksum, not a data
     pull.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def _checksum_partial(df: pd.DataFrame) -> pd.DataFrame:
         # Order-independent per-block fingerprint of the directed edge
         # set: uint64 wraparound sum of a two-sided multiply mix. Each
@@ -1216,7 +1181,6 @@ def _cc_converge(
     prev_sig = None
     for _ in range(max_rounds):
         for phase in ("large", "small"):
-            enable_hash_shuffle(cur)
             cur = (
                 cur.repartition(partitions, keys=["u"])
                 .map_batches(
@@ -1268,8 +1232,6 @@ def cc_star_map(
     corpus-scale ever touches the driver: on the distributed path the
     converged star edges collapse to (node, min root) via one keyed
     repartition, and the root self-rows ride the same shuffle."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     mode, payload = _cc_converge(edges, partitions, max_rounds, local_threshold)
     if mode == "empty":
         return rd.from_pandas(_empty_star())
@@ -1298,7 +1260,6 @@ def cc_star_map(
         return df.groupby("node", as_index=False)["root"].min()
 
     rows = payload.map_batches(star_rows, batch_format="pandas")
-    enable_hash_shuffle(rows)
     return (
         rows.repartition(partitions, keys=["node"])
         .map_batches(min_root, batch_format="pandas", batch_size=None)
@@ -1365,10 +1326,7 @@ def _relabel_cogroup(
     the Ray 2.49 sparse-side join crash (CLAUDE.md): the star side is
     exactly the sparse shape — few dup-component rows over many blocks.
     Node ids must be non-negative (doc_id/vec_id are)."""
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     if npart is None:
         npart = default_npart()
@@ -1422,7 +1380,6 @@ def _relabel_cogroup(
     tagged = ids.map_batches(tag_ids, batch_format="pandas").union(
         star.map_batches(tag_star, batch_format="pandas")
     )
-    enable_hash_shuffle(tagged)
     return tagged.repartition(npart, keys=[id_col]).map_batches(
         resolve, batch_format="pandas", batch_size=None
     )
@@ -1495,7 +1452,7 @@ def dedup_clusters(
     )
     return _cluster_assign(
         pairs,
-        _read_docs(sf_dir, ["doc_id"]),
+        read_documents(sf_dir, ["doc_id"]),
         "doc_id",
         broadcast_limit_bytes=broadcast_limit_bytes,
     )
@@ -1537,8 +1494,6 @@ def _pick_winners(members: rd.Dataset, npart: int) -> rd.Dataset:
     """(doc_id, root, n_chars) member rows -> (doc_id, cluster_id, win)
     with exactly one win=1 row per component (n_chars desc, doc_id asc),
     via one root-keyed repartition + a per-block vectorized rank."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def rank(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
             return _member_schema()
@@ -1555,7 +1510,6 @@ def _pick_winners(members: rd.Dataset, npart: int) -> rd.Dataset:
             }
         )
 
-    enable_hash_shuffle(members)
     return members.repartition(npart, keys=["root"]).map_batches(
         rank, batch_format="pandas", batch_size=None
     )
@@ -1601,7 +1555,7 @@ def neardup_best_survivors(
         losers = np.empty(0, dtype="int64")
         if not tbl.empty:
             members = (
-                rd.read_parquet(
+                read_table(
                     f"{sf_dir}/documents.parquet",
                     columns=["doc_id", "n_chars"],
                     filter=pads.field("doc_id").isin(
@@ -1643,15 +1597,12 @@ def neardup_best_survivors(
                 out[hit] = wroot[pos[hit]]
             return pd.DataFrame({"doc_id": ids, "cluster_id": out})
 
-        return _read_docs(sf_dir, ["doc_id"]).map_batches(
+        return read_documents(sf_dir, ["doc_id"]).map_batches(
             keep_best, batch_format="pandas"
         )
 
     # Distributed path: nothing dup-count-sized on the driver.
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     from .sketch import build_bloom
 
@@ -1681,7 +1632,7 @@ def neardup_best_survivors(
         keep = worker_value(bloom_ref).contains(df["doc_id"].to_numpy(dtype="int64"))
         return df.loc[keep]
 
-    cand = _read_docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
+    cand = read_documents(sf_dir, ["doc_id", "n_chars"]).map_batches(
         bloom_probe, batch_format="pandas"
     )
 
@@ -1739,7 +1690,6 @@ def neardup_best_survivors(
     tagged = cand.map_batches(tag_cand, batch_format="pandas").union(
         star.map_batches(tag_star_rows, batch_format="pandas")
     )
-    enable_hash_shuffle(tagged)
     members = tagged.repartition(npart, keys=["doc_id"]).map_batches(
         resolve_members, batch_format="pandas", batch_size=None
     )
@@ -1776,10 +1726,9 @@ def neardup_best_survivors(
         cluster = np.where(np.isnan(cluster), ids, cluster).astype("int64")
         return pd.DataFrame({"doc_id": ids, "cluster_id": cluster})
 
-    merged = _read_docs(sf_dir, ["doc_id"]).map_batches(
+    merged = read_documents(sf_dir, ["doc_id"]).map_batches(
         tag_corpus, batch_format="pandas"
     ).union(winners)
-    enable_hash_shuffle(merged)
     return merged.repartition(npart, keys=["doc_id"]).map_batches(
         finish, batch_format="pandas", batch_size=None
     )
@@ -1810,7 +1759,7 @@ def substring_dup_clusters(
     )
     return _cluster_assign(
         pairs,
-        _read_docs(sf_dir, ["doc_id"]),
+        read_documents(sf_dir, ["doc_id"]),
         "doc_id",
         broadcast_limit_bytes=broadcast_limit_bytes,
     )
@@ -1832,7 +1781,7 @@ def embedding_clusters(
         lambda df: df.rename(columns={"vec_a": "u", "vec_b": "v"}),
         batch_format="pandas",
     )
-    ids = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
+    ids = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
     return _cluster_assign(
         pairs, ids, "vec_id", broadcast_limit_bytes=broadcast_limit_bytes
     )
@@ -1911,10 +1860,10 @@ def docs_length_histogram(sf_dir: str, bucket: int = 100) -> rd.Dataset:
             {"bucket_start": g.index.to_numpy(), "n_docs": g.to_numpy().astype("int64")}
         )
 
-    return _tree_sum(
-        _read_docs(sf_dir, ["n_chars"]).map_batches(partial, batch_format="pandas"),
-        "bucket_start",
-        "n_docs",
+    return tree_sum(
+        read_documents(sf_dir, ["n_chars"]).map_batches(partial, batch_format="pandas"),
+        ["bucket_start"],
+        ["n_docs"],
     )
 
 
@@ -1933,10 +1882,7 @@ def docs_global_length_rank(sf_dir: str) -> rd.Dataset:
     this one orders by the VALUE. With real-valued scores the same
     shape works over histogram buckets with a per-bucket local sort.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
 
@@ -1950,12 +1896,12 @@ def docs_global_length_rank(sf_dir: str) -> rd.Dataset:
         )
 
     counts = (
-        _tree_sum(
-            _read_docs(sf_dir, ["n_chars"]).map_batches(
+        tree_sum(
+            read_documents(sf_dir, ["n_chars"]).map_batches(
                 count_partial, batch_format="pandas"
             ),
-            "n_chars",
-            "n_docs",
+            ["n_chars"],
+            ["n_docs"],
         )
         .to_pandas()
         .sort_values("n_chars", ascending=False)
@@ -1987,8 +1933,7 @@ def docs_global_length_rank(sf_dir: str) -> rd.Dataset:
             )
         return pd.concat(out, ignore_index=True)
 
-    ds = _read_docs(sf_dir, ["doc_id", "n_chars"])
-    enable_hash_shuffle(ds)
+    ds = read_documents(sf_dir, ["doc_id", "n_chars"])
     return ds.repartition(npart, keys=["n_chars"]).map_batches(
         rank_block, batch_format="pandas", batch_size=None
     )
@@ -2041,7 +1986,7 @@ def bm25_topk(
         return pd.DataFrame(row)
 
     stats = (
-        _read_docs(sf_dir, ["text", "n_chars"])
+        read_documents(sf_dir, ["text", "n_chars"])
         .map_batches(stats_partial, batch_format="pandas")
         .to_pandas()
         .sum()
@@ -2092,7 +2037,7 @@ def bm25_topk(
         df = df.sort_values(["score", "doc_id"], ascending=[False, True], kind="stable")
         return df.head(k)[["doc_id", "score"]]
 
-    scored = _read_docs(sf_dir, ["doc_id", "text", "n_chars"]).map_batches(
+    scored = read_documents(sf_dir, ["doc_id", "text", "n_chars"]).map_batches(
         score, batch_format="pandas"
     )
     return (
@@ -2192,15 +2137,12 @@ def distinct_user_event_types(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     finishes — no sort, no aggregate machinery. user_id is unbounded at
     corpus scale so the shuffle stays (a tree reduce would be wrong);
     the combiner bounds its volume at (types x users) per block."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def local_distinct(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates().reset_index(drop=True)
 
-    ds = _read_events(sf_dir, ["user_id", "event_type"]).map_batches(
-        local_distinct, batch_format="pandas"
-    )
-    enable_hash_shuffle(ds)
+    ds = read_table(
+        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
+    ).map_batches(local_distinct, batch_format="pandas")
     return ds.repartition(partitions, keys=["user_id"]).map_batches(
         local_distinct, batch_format="pandas", batch_size=None
     )
@@ -2231,10 +2173,7 @@ def source_distinct_shingles(
     tree-sum over the bounded source key space. Emits
     (source, n_distinct_shingles).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = partitions or default_npart()
     # Oversalt: B = 8 x partitions. Bucket values hash to partitions,
@@ -2327,10 +2266,9 @@ def source_distinct_shingles(
             }
         )
 
-    ds = _read_docs(sf_dir, ["source", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["source", "text"]).map_batches(
         local_shingles, batch_format="pyarrow"
     )
-    enable_hash_shuffle(ds)
     partials = ds.repartition(npart, keys=["bucket"]).map_batches(
         count_distinct, batch_format="pandas", batch_size=None
     )
@@ -2385,12 +2323,8 @@ def events_user_top_type(sf_dir: str) -> rd.Dataset:
     blocks never grow with a user's raw event count (contrast
     `events_user_type_sequence`).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2421,7 +2355,7 @@ def events_user_top_type(sf_dir: str) -> rd.Dataset:
         )
 
     return (
-        _read_events(sf_dir, ["user_id", "event_type"])
+        read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pandas")
         .repartition(npart, keys=["user_id"])
         .map_batches(top1, batch_format="pandas", batch_size=None)
@@ -2470,7 +2404,7 @@ def docs_token_entropy(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+    return read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         entropy, batch_format="pandas"
     )
 
@@ -2608,10 +2542,6 @@ def events_value_cume_dist(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     count-of-peers-at-or-below in O(n log n) — no per-row window scan,
     no global sort.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
-
     def micro(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -2652,7 +2582,7 @@ def events_value_cume_dist(sf_dir: str, partitions: int = 8) -> rd.Dataset:
             )
         return pd.concat(parts, ignore_index=True)
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
     ).map_batches(micro, batch_format="pandas")
     return ds.repartition(partitions, keys=["event_type"]).map_batches(
@@ -2698,7 +2628,7 @@ def events_props_json_rollup(sf_dir: str) -> rd.Dataset:
             {"n_events": "sum", "sum_k": "sum", "min_k": "min", "max_k": "max"}
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     ).map_batches(partial, batch_format="pandas")
     merged = ds.repartition(8).map_batches(

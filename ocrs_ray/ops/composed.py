@@ -49,12 +49,8 @@ def pretrain_data_prep(
     3-key rollup tree-reduces. The full document text crosses the wire
     once (inside the dedup shuffle) and nothing is ever materialized.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def gate_and_key(batch: pd.DataFrame) -> pd.DataFrame:

@@ -29,6 +29,7 @@ import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
+from ..session import read_table
 from .text import TOKEN_CLASS_RE, read_documents
 
 __all__ = [
@@ -88,16 +89,12 @@ def dedup_exact(sf_dir: str) -> rd.Dataset:
             {"text_md5": g.column("text_md5"), "doc_id": g.column("doc_id_min")}
         )
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
     ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         add_hash, batch_format="pyarrow"
     )
-    enable_hash_shuffle(ds)
     return ds.repartition(npart, keys=["text_md5"]).map_batches(
         block_min, batch_format="pyarrow", batch_size=None
     )
@@ -114,12 +111,8 @@ def dedup_survivors(sf_dir: str) -> rd.Dataset:
     no build-side dedupe shuffle (cf. `orders_with_returns`,
     relational.py).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     winners = dedup_exact(sf_dir).map_batches(
         lambda df: df[["doc_id"]], batch_format="pandas"
@@ -503,9 +496,6 @@ def _dedup_small(ds: rd.Dataset, cols: list[str], partitions: int = 8) -> rd.Dat
     verified set — normally tiny, but hash-partitioned (not a single
     block) so a pathological corpus with an m-doc duplicate clique and
     its m^2/2 surviving pairs still spreads across workers."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle(ds)
     return ds.repartition(partitions, keys=cols).map_batches(
         _local_dedup, fn_kwargs={"cols": cols}, batch_format="pandas", batch_size=None
     )
@@ -543,8 +533,6 @@ def _exact_dup_membership(docs: rd.Dataset, npart: int) -> rd.Dataset:
     returned dataset is MATERIALIZED (callers measure its size for the
     broadcast-vs-cogroup expansion choice), so this builder runs its
     pipeline when CALLED — eager-stage convention applies."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def key_rows(batch: pa.Table) -> pa.Table:
         h0, h1 = _md5_pair(batch.column("text").to_pylist())
         return pa.table(
@@ -570,11 +558,9 @@ def _exact_dup_membership(docs: rd.Dataset, npart: int) -> rd.Dataset:
         )
 
     rows = docs.map_batches(key_rows, batch_format="pyarrow")
-    enable_hash_shuffle(rows)
     out = rows.repartition(npart, keys=["th0", "th1"]).map_batches(
         finish, batch_format="pandas", batch_size=None
     )
-    enable_hash_shuffle(out)
     return out.materialize()
 
 
@@ -592,8 +578,6 @@ def _intra_dup_pairs(
     guaranteed to share — before the per-block triangle expansion.
     `extra` adds constant output columns (e.g. jaccard=1.0 — identical
     texts have Jaccard exactly 1, including the empty-shingle case)."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def expand(df: pd.DataFrame) -> pd.DataFrame:
         cols = dict(_EMPTY_PAIRS)
         for name, val in (extra or {}).items():
@@ -607,7 +591,6 @@ def _intra_dup_pairs(
             out[name] = val
         return out if len(out) else pd.DataFrame(cols)
 
-    enable_hash_shuffle(membership)
     return membership.repartition(npart, keys=["rep_id"]).map_batches(
         expand, batch_format="pandas", batch_size=None
     )
@@ -633,8 +616,6 @@ def _expand_rep_pairs(
     once via ray.put; above it, two tagged-union cogroup passes attach
     each side's member list with one keyed exchange per side (pin both
     paths equal with broadcast_limit_bytes=0)."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def empty_out() -> pd.DataFrame:
         cols = dict(_EMPTY_PAIRS)
         for name in extra_cols:
@@ -683,9 +664,7 @@ def _expand_rep_pairs(
                 out[name] = np.repeat(df[name].to_numpy(), reps)
             return order_ab(out)
 
-        out = pairs.map_batches(expand_broadcast, batch_format="pandas")
-        enable_hash_shuffle(out)
-        return out
+        return pairs.map_batches(expand_broadcast, batch_format="pandas")
 
     # Distributed path: one cogroup pass per side. Tag membership rows
     # and pair rows, union, repartition on the side's rep key (one
@@ -758,17 +737,14 @@ def _expand_rep_pairs(
         tagged_m = membership.map_batches(tag_members, batch_format="pandas")
         tagged_p = ds.map_batches(tag_pairs, batch_format="pandas")
         u = tagged_m.union(tagged_p)
-        enable_hash_shuffle(u)
         return u.repartition(npart, keys=["k"]).map_batches(
             resolve, batch_format="pandas", batch_size=None
         )
 
-    out = one_side(one_side(pairs, "doc_a"), "doc_b").map_batches(
+    return one_side(one_side(pairs, "doc_a"), "doc_b").map_batches(
         lambda df: order_ab(df) if len(df) else empty_out(),
         batch_format="pandas",
     )
-    enable_hash_shuffle(out)
-    return out
 
 
 def _prefix_rows(
@@ -873,12 +849,8 @@ def ngram_jaccard_pairs(
         batch_format="pandas",
     )
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle(prefix)
     npart = default_npart()
     # A pair can surface once per shared prefix token: dedup locally per
     # block (free), then globally — the global pair dedup is an
@@ -941,9 +913,7 @@ def ngram_jaccard_pairs(
         else expand_broadcast_limit_bytes
     )
     expanded = _expand_rep_pairs(verified, membership, npart, limit)
-    out = expanded.union(_intra_dup_pairs(membership, npart))
-    enable_hash_shuffle(out)
-    return out
+    return expanded.union(_intra_dup_pairs(membership, npart))
 
 
 def minhash_lsh_pairs(
@@ -978,12 +948,8 @@ def minhash_lsh_pairs(
         _band_rows, fn_kwargs={"cfg": cfg}, batch_format="pyarrow"
     )
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle(bands)
     npart = default_npart()
     # A pair can surface once per matching band: dedup locally per
     # block (free), then globally over bare id pairs, BEFORE the text
@@ -1040,11 +1006,9 @@ def minhash_lsh_pairs(
     expanded = _expand_rep_pairs(
         verified, membership, npart, limit, extra_cols=("jaccard",)
     )
-    out = expanded.union(
+    return expanded.union(
         _intra_dup_pairs(membership, npart, extra={"jaccard": 1.0})
     )
-    enable_hash_shuffle(out)
-    return out
 
 
 def repeated_substring_pairs(
@@ -1070,10 +1034,7 @@ def repeated_substring_pairs(
     both the Ray and oracle sides (HAVING count(distinct doc) <= cap),
     keeping the op exact for the capped semantics.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
 
@@ -1165,7 +1126,6 @@ def repeated_substring_pairs(
     ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         grams, batch_format="pyarrow"
     )
-    enable_hash_shuffle(ds)
     return (
         ds.repartition(npart, keys=["gram"])
         .map_batches(block_pairs, batch_format="pandas", batch_size=None)
@@ -1205,10 +1165,7 @@ def dup_gram_doc_fraction(sf_dir: str, n: int = 5) -> rd.Dataset:
     """
     import re as _re
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
     tok = _re.compile(TOKEN_CLASS_RE)
@@ -1300,13 +1257,11 @@ def dup_gram_doc_fraction(sf_dir: str, n: int = 5) -> rd.Dataset:
 
     docs = read_documents(sf_dir, ["doc_id", "text"])
     gram_rows = docs.map_batches(grams, batch_format="pyarrow")
-    enable_hash_shuffle(gram_rows)
     dup_partials = gram_rows.repartition(npart, keys=["gram"]).map_batches(
         block_dup_partials, batch_format="pandas", batch_size=None
     )
     total_rows = docs.map_batches(totals, batch_format="pyarrow")
     merged = dup_partials.union(total_rows)
-    enable_hash_shuffle(merged)
     return merged.repartition(npart, keys=["doc_id"]).map_batches(
         combine, batch_format="pandas", batch_size=None
     )
@@ -1408,10 +1363,7 @@ def docs_snapshot_diff(sf_dir: str) -> rd.Dataset:
     second table/scan; here it derives from A so the oracle is closed
     over the same parquet.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
 
@@ -1478,7 +1430,6 @@ def docs_snapshot_diff(sf_dir: str) -> rd.Dataset:
     tagged = docs.map_batches(side_a, batch_format="pandas").union(
         docs.map_batches(side_b, batch_format="pandas")
     )
-    enable_hash_shuffle(tagged)
     return tagged.repartition(npart, keys=["doc_id"]).map_batches(
         classify, batch_format="pandas", batch_size=None
     )
@@ -1513,10 +1464,7 @@ def snapshot_new_texts(
     measured corpus count (~10 bits/key -> ~1% fp at k=5). Builder is
     EAGER (Bloom builds run when called — see CLAUDE.md timing note).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     from .sketch import build_bloom
 
@@ -1690,15 +1638,10 @@ def snapshot_new_texts(
         return keep.reset_index(drop=True)
 
     merged = b_cand.union(a_pruned)
-    enable_hash_shuffle(merged)
     verified_new = merged.repartition(npart, keys=["h"]).map_batches(
         anti, batch_format="pandas", batch_size=None
     )
-    out = definitely_new.union(verified_new)
-    # The final union snapshots ITS context; the keyed repartition above
-    # plans under it at execution time (CLAUDE.md hash-shuffle note).
-    enable_hash_shuffle(out)
-    return out
+    return definitely_new.union(verified_new)
 
 
 def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3) -> rd.Dataset:
@@ -1718,12 +1661,8 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3) -> rd.Dataset:
     same md5-derived fingerprints), unlike typical LSH ops whose
     recall is < 1.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     n_bands = max_hamming + 1
     width = 64 // n_bands
@@ -1827,11 +1766,7 @@ def embedding_neardup_pairs(
     shuffle volume is B x N x dim) — and full-cluster parallelism.
     `embedding_neardup_pairs_lsh` is the sub-quadratic approximate path.
     """
-    from ocrs_ray.pipeline import (
-        cluster_ncpu,
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import cluster_ncpu, default_npart
 
     B = n_blocks or max(2, min(8, cluster_ncpu() // 2))
     npart = default_npart()
@@ -1907,10 +1842,9 @@ def embedding_neardup_pairs(
             {"vec_a": np.concatenate(out_a), "vec_b": np.concatenate(out_b)}
         )
 
-    rep = rd.read_parquet(
+    rep = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(replicate, batch_format="pyarrow", batch_size=2048)
-    enable_hash_shuffle(rep)
     return rep.repartition(npart, keys=["pb"]).map_batches(
         block_pairs, batch_format="pandas", batch_size=None
     )
@@ -1938,10 +1872,7 @@ def embedding_neardup_pairs_lsh(
     Recall vs the exact op is pinned in tests (rows-only for the
     driver: recall < 1 by design).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
 
@@ -2008,10 +1939,9 @@ def embedding_neardup_pairs_lsh(
             {"vec_a": np.concatenate(out_a), "vec_b": np.concatenate(out_b)}
         )
 
-    rows = rd.read_parquet(
+    rows = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(bucket_rows, batch_format="pyarrow", batch_size=2048)
-    enable_hash_shuffle(rows)
     pairs = rows.repartition(npart, keys=["bucket"]).map_batches(
         bucket_pairs, batch_format="pandas", batch_size=None
     )
@@ -2154,12 +2084,8 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = 2) -> rd.Dataset:
     At a 1e6-entry dictionary the variant shuffle is ~1e8 short rows —
     heavy but linear in the dictionary, vs 5e11 for all-pairs.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2191,7 +2117,7 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = 2) -> rd.Dataset:
         return out[out["dist"] <= max_dist]
 
     return (
-        rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_name"])
+        read_table(f"{sf_dir}/part.parquet", columns=["p_name"])
         .map_batches(explode, batch_format="pandas", batch_size=None)
         .repartition(npart, keys=["variant"])
         .map_batches(bucket_pairs, batch_format="pandas", batch_size=None)
@@ -2240,16 +2166,12 @@ def dedup_normalized(sf_dir: str) -> rd.Dataset:
             {"norm_md5": g.column("norm_md5"), "doc_id": g.column("doc_id_min")}
         )
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = default_npart()
     ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         add_hash, batch_format="pyarrow"
     )
-    enable_hash_shuffle(ds)
     return ds.repartition(npart, keys=["norm_md5"]).map_batches(
         block_min, batch_format="pyarrow", batch_size=None
     )

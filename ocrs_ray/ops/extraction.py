@@ -40,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..session import read_table
 from .text import read_documents
 
 # --------------------------------------------------------------------
@@ -1647,15 +1648,10 @@ def _canonical_groups_over(urls: rd.Dataset, npart: int) -> rd.Dataset:
     first_doc): per-batch algebraic combine caps hot canonical keys
     at one row per batch, then one keyed exchange + per-block
     finish."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     partials = urls.map_batches(_urlgroup_combine, batch_format="pandas")
-    enable_hash_shuffle(partials)
-    out = partials.repartition(npart, keys=["href_norm"]).map_batches(
+    return partials.repartition(npart, keys=["href_norm"]).map_batches(
         _urlgroup_finish, batch_format="pandas", batch_size=None
     )
-    enable_hash_shuffle(out)
-    return out
 
 
 def docs_url_canonical_groups(
@@ -1723,8 +1719,6 @@ def _anti_join_uncrawled(
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     max_id = read_documents(sf_dir, ["doc_id"]).max("doc_id")
     if max_id is None:
         raise ValueError(
@@ -1740,7 +1734,7 @@ def _anti_join_uncrawled(
             {"href_norm": pc.unique(batch.column("href_norm"))}
         )
 
-    crawled = rd.read_parquet(
+    crawled = read_table(
         f"{sf_dir}/documents.parquet",
         columns=_URL_COLS,
         filter=pads.field("doc_id") < cut,
@@ -1748,16 +1742,12 @@ def _anti_join_uncrawled(
     seen = crawled.map_batches(
         url_batch_fn, batch_format="pyarrow"
     ).map_batches(seen_urls, batch_format="pyarrow")
-    enable_hash_shuffle(groups)
-    enable_hash_shuffle(seen)
-    out = groups.join(
+    return groups.join(
         seen,
         join_type="left_anti",
         num_partitions=npart,
         on=("href_norm",),
     )
-    enable_hash_shuffle(out)
-    return out
 
 
 def frontier_new_urls_sql() -> str:
@@ -2299,11 +2289,7 @@ def docs_link_pagerank(
     import pandas as pd
     import ray
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-        worker_value,
-    )
+    from ocrs_ray.pipeline import default_npart, worker_value
 
     # default bucket count suits the test scales; at real scale pass
     # `npart` sized so one bucket's edges fit a worker's heap (the
@@ -2409,10 +2395,9 @@ def docs_link_pagerank(
         done = [i for i in done if i <= iters]
         if done:
             start_iter = done[-1]
-            resumed = rd.read_parquet(
+            resumed = read_table(
                 os.path.join(checkpoint_dir, f"iter={start_iter:04d}")
             )
-            enable_hash_shuffle(resumed)
             # restore the bucket partitioning (checkpoints persist pb)
             ranks = resumed.repartition(npart, keys=["pb"]).materialize()
 
@@ -2433,7 +2418,6 @@ def docs_link_pagerank(
     nodes = read_documents(sf_dir, ["doc_id"]).map_batches(
         node_pb, batch_format="pyarrow"
     )
-    enable_hash_shuffle(nodes)
     nodes = nodes.repartition(npart, keys=["pb"]).materialize()
     node_by_pb = _refs_by_pb(nodes)
 
@@ -2505,7 +2489,6 @@ def docs_link_pagerank(
         edges = _link_edges(sf_dir).map_batches(
             edge_pb, batch_format="pyarrow"
         )
-        enable_hash_shuffle(edges)
         edges_deg = (
             edges.repartition(npart, keys=["pb"])
             .map_batches(with_degree, batch_format="pandas", batch_size=None)
@@ -2610,11 +2593,9 @@ def docs_link_pagerank(
         contribs = ranks.map_batches(
             stage1, batch_format="pandas", batch_size=None
         ).union(sentinels)
-        enable_hash_shuffle(contribs)
         nxt = contribs.repartition(npart, keys=["pb"]).map_batches(
             stage2, batch_format="pandas", batch_size=None
         )
-        enable_hash_shuffle(nxt)
         if checkpoint_dir:
             # checkpointing needs a round barrier: materialize, then
             # commit the round's state via write-tmp + atomic rename
@@ -2857,10 +2838,7 @@ def docs_link_degree(sf_dir: str, npart: int | None = None) -> rd.Dataset:
     most npart+1 rows per doc no matter how hot the /ref/ hubs get.
     Partitioning assumption: one pair-partition's occurrences fit a
     worker's heap (pair multiplicity is bounded by links/page)."""
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     if npart is None:
         npart = default_npart()
@@ -2868,7 +2846,6 @@ def docs_link_degree(sf_dir: str, npart: int | None = None) -> rd.Dataset:
     keyed = _doc_ref_edges(sf_dir).map_batches(
         _degree_add_pair, batch_format="pandas"
     )
-    enable_hash_shuffle(keyed)
     partials = keyed.repartition(npart, keys=["lo", "hi"]).map_batches(
         _degree_pair_resolve, batch_format="pandas", batch_size=None
     )
@@ -2876,14 +2853,9 @@ def docs_link_degree(sf_dir: str, npart: int | None = None) -> rd.Dataset:
         _degree_zero_rows, batch_format="pandas"
     )
     unioned = partials.union(zeros)
-    enable_hash_shuffle(unioned)
-    out = unioned.repartition(npart, keys=["doc_id"]).map_batches(
+    return unioned.repartition(npart, keys=["doc_id"]).map_batches(
         _degree_final_sum, batch_format="pandas", batch_size=None
     )
-    # the plan executes under the FINAL consumer's context (the
-    # union gotcha) — patch the returned dataset too
-    enable_hash_shuffle(out)
-    return out
 
 
 def link_degree_sql() -> str:
@@ -2932,10 +2904,7 @@ def docs_link_anchor_profile(
     top-k by a total order is distributive (min-k of min-k's), so the
     per-block finish is exact. Anchors are template-ASCII, so pandas
     codepoint order == DuckDB binary collation in the oracle."""
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     if npart is None:
         npart = default_npart()
@@ -2943,15 +2912,12 @@ def docs_link_anchor_profile(
     partials = _doc_ref_edges(sf_dir, with_anchor=True).map_batches(
         _anchor_combine, fn_kwargs={"k": k}, batch_format="pandas"
     )
-    enable_hash_shuffle(partials)
-    out = partials.repartition(npart, keys=["dst"]).map_batches(
+    return partials.repartition(npart, keys=["dst"]).map_batches(
         _anchor_finish,
         fn_kwargs={"k": k},
         batch_format="pandas",
         batch_size=None,
     )
-    enable_hash_shuffle(out)
-    return out
 
 
 def _anchor_combine(df, k: int) -> "object":

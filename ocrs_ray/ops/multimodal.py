@@ -30,6 +30,7 @@ import ray.data as rd
 
 from ..pipeline import decode_media, worker_value
 from ..resize import resize_bilinear
+from ..session import read_table, source
 
 __all__ = [
     "read_media",
@@ -56,7 +57,7 @@ MEDIA_COLUMNS = ["media_ref", "image", "height", "width", "channels", "format"]
 
 
 def read_media(media_path: str) -> rd.Dataset:
-    return rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
+    return read_table(media_path, columns=MEDIA_COLUMNS)
 
 
 def _payloads(batch: pa.Table):
@@ -375,7 +376,7 @@ def audio_features(audio_path: str) -> rd.Dataset:
     depth) plus amplitude statistics in exact integer micro-units.
     Stateless vectorized-per-clip map — no shuffle; at 100 TB the only
     knob is batch_size (clips are small; payload bytes dominate)."""
-    return rd.read_parquet(
+    return read_table(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
         AudioFeatureExtractor(),
@@ -417,7 +418,6 @@ def audio_content_dedup(audio_path: str, partitions: int = 8) -> rd.Dataset:
     """
     import pyarrow.compute as pc
 
-    from ..pipeline import enable_hash_shuffle
     from ..wav import decode_wav
 
     def fingerprint(batch: pa.Table) -> pa.Table:
@@ -433,12 +433,11 @@ def audio_content_dedup(audio_path: str, partitions: int = 8) -> rd.Dataset:
             }
         )
 
-    keyed = rd.read_parquet(
+    keyed = read_table(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
         fingerprint, batch_format="pyarrow", batch_size=128
     )
-    enable_hash_shuffle(keyed)
 
     def survivors(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -533,7 +532,7 @@ def audio_resample(audio_path: str, dst_rate: int = 16000) -> rd.Dataset:
             }
         )
 
-    return rd.read_parquet(
+    return read_table(
         audio_path, columns=["media_ref", "audio"]
     ).map_batches(
         resample, batch_format="pyarrow", batch_size=128
@@ -590,12 +589,8 @@ def media_ahash_neardup(media_path: str, max_hamming: int = 2) -> rd.Dataset:
     """
     import pandas as pd
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     n_bands = max_hamming + 1
     width = 64 // n_bands
@@ -718,10 +713,7 @@ def media_ahash_survivors(
 
     import ray
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     from .analytics import cc_star_map, connected_components
 
@@ -744,7 +736,6 @@ def media_ahash_survivors(
         return out
 
     ref_ds = pairs.map_batches(distinct_refs, batch_format="pandas")
-    enable_hash_shuffle(ref_ds)
     ref_ds = (
         ref_ds.repartition(npart, keys=["r"])
         .map_batches(block_dedup, batch_format="pandas", batch_size=None)
@@ -782,7 +773,7 @@ def media_ahash_survivors(
                 return _empty_refs()
             return pd.DataFrame({"media_ref": kept})
 
-        return rd.read_parquet(media_path, columns=["media_ref"]).map_batches(
+        return read_table(media_path, columns=["media_ref"]).map_batches(
             drop_losers, batch_format="pandas"
         )
 
@@ -809,7 +800,6 @@ def media_ahash_survivors(
     hs = hashed_refs.map_batches(
         lambda df: pd.DataFrame({"h": df["h"].unique()}), batch_format="pandas"
     )
-    enable_hash_shuffle(hs)
     n_hashes = (
         hs.repartition(npart, keys=["h"])
         .map_batches(
@@ -894,7 +884,6 @@ def media_ahash_survivors(
     tagged = hashed_refs.map_batches(tag_href, batch_format="pandas").union(
         star.map_batches(tag_star, batch_format="pandas")
     )
-    enable_hash_shuffle(tagged)
     members = tagged.repartition(npart, keys=["h"]).map_batches(
         resolve, batch_format="pandas", batch_size=None
     )
@@ -911,7 +900,6 @@ def media_ahash_survivors(
             return _empty_refs()
         return pd.DataFrame({"media_ref": out})
 
-    enable_hash_shuffle(members)
     loser_ds = members.repartition(npart, keys=["root"]).map_batches(
         losers, batch_format="pandas", batch_size=None
     )
@@ -961,11 +949,10 @@ def media_ahash_survivors(
         return pd.DataFrame({"media_ref": kept})
 
     merged = (
-        rd.read_parquet(media_path, columns=["media_ref"])
+        read_table(media_path, columns=["media_ref"])
         .map_batches(tag_corpus, batch_format="pandas")
         .union(loser_ds.map_batches(tag_losers, batch_format="pandas"))
     )
-    enable_hash_shuffle(merged)
     return merged.repartition(npart, keys=["media_ref"]).map_batches(
         keep, batch_format="pandas", batch_size=None
     )
@@ -1024,6 +1011,7 @@ def write_media_webdataset(ds: rd.Dataset, out_dir: str) -> rd.Dataset:
     ).materialize()
 
 
+@source
 def media_from_webdataset(path_dir: str) -> rd.Dataset:
     """WebDataset source for the media table: one read task per .tar
     shard, decoded through the shared `sources.decode_shard_samples`

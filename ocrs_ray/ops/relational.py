@@ -17,6 +17,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..pipeline import worker_value
+from ..session import read_table
 
 __all__ = [
     "events_tumbling_window",
@@ -132,7 +133,7 @@ def events_tumbling_window(sf_dir: str, window_s: int = 300) -> rd.Dataset:
             ["sum_value_micro", "n_events"]
         ].sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     ).map_batches(partial, batch_format="pandas")
     return tree_sum(
@@ -143,13 +144,10 @@ def events_tumbling_window(sf_dir: str, window_s: int = 300) -> rd.Dataset:
 def _partition_by_user(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     """Hash-partition events by user_id (each user's rows co-located,
     so per-block session/as-of logic is globally correct)."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type", "value"],
     )
-    enable_hash_shuffle(ds)
     return ds.repartition(partitions, keys=["user_id"])
 
 
@@ -284,7 +282,7 @@ def orders_customer_join(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby("c_nationkey", as_index=False).sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     ).map_batches(probe, batch_format="pandas")
     # Nation keys are bounded (25) regardless of order volume -> the
@@ -298,8 +296,6 @@ def lineitem_pricing_summary(sf_dir: str, cutoff: str = "1998-09-02") -> rd.Data
     Row filter applied at the batch level; money measures carried as
     integer micro-units through the partial + final aggregation.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     cutoff_ts = pd.Timestamp(cutoff)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -332,7 +328,7 @@ def lineitem_pricing_summary(sf_dir: str, cutoff: str = "1998-09-02") -> rd.Data
         )
         return df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=[
             "l_returnflag",
@@ -343,7 +339,6 @@ def lineitem_pricing_summary(sf_dir: str, cutoff: str = "1998-09-02") -> rd.Data
             "l_shipdate",
         ],
     ).map_batches(partial, batch_format="pandas")
-    enable_hash_shuffle(ds)
     return ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
         Sum("sum_qty_micro", alias_name="sum_qty_micro"),
         Sum("sum_base_micro", alias_name="sum_base_micro"),
@@ -391,7 +386,7 @@ def events_hopping_window(
             ["sum_value_micro", "n_events"]
         ].sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     ).map_batches(partial, batch_format="pandas")
     return tree_sum(
@@ -428,12 +423,9 @@ def events_daily_active_users(sf_dir: str) -> rd.Dataset:
         out["n_users"] = out["n_users"].astype("int64")
         return out
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "user_id"]
     ).map_batches(local_pairs, batch_format="pandas")
-    enable_hash_shuffle(ds)
     deduped = ds.repartition(8, keys=["event_type", "day", "user_id"]).map_batches(
         count_partial, batch_format="pandas", batch_size=None
     )
@@ -463,15 +455,8 @@ def q3_top_orders(
 
     import ray
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    # Patch the context BEFORE creating any dataset: the join's
-    # aggregator pool must be sized to the cluster or it starves the
-    # read/map tasks on small clusters (see enable_hash_shuffle).
-    enable_hash_shuffle()
     join_partitions = default_npart()
 
     cutoff_ts = pd.Timestamp(cutoff)
@@ -496,7 +481,7 @@ def q3_top_orders(
             o_orderdate_us=out["o_orderdate"].astype("int64")
         )[["o_orderkey", "o_orderdate_us"]]
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(semi_filter, batch_format="pandas")
@@ -509,7 +494,7 @@ def q3_top_orders(
         df = pd.DataFrame({"l_orderkey": b["l_orderkey"].to_numpy(), "revenue_micro": rev})
         return df.groupby("l_orderkey", as_index=False).sum()
 
-    lineitem = rd.read_parquet(
+    lineitem = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(line_partial, batch_format="pandas")
@@ -571,16 +556,10 @@ def customer_order_counts(
     referential integrity (TPC-H guarantees it); with orphan keys the
     matched counts would need a hash semi-join against customer first.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    # Context is snapshotted at dataset creation: the keyed repartition
-    # needs the hash-shuffle strategy set BEFORE read_parquet.
-    enable_hash_shuffle()
     npart = default_npart()
-    n_customers = rd.read_parquet(
+    n_customers = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     ).count()
 
@@ -606,7 +585,7 @@ def customer_order_counts(
         return df.astype({"c_count": "int64", "custdist": "int64"})
 
     counts = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
         )
         .map_batches(partial, batch_format="pandas")
@@ -637,12 +616,8 @@ def orders_with_returns(
     shuffled volume). The per-priority count is a bounded key space
     (5 priorities) and tree-reduces shuffle-free.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     start_ts, end_ts = pd.Timestamp(start), pd.Timestamp(end)
 
@@ -654,11 +629,11 @@ def orders_with_returns(
         b = batch[batch["l_returnflag"] == "R"]
         return b[["l_orderkey"]].drop_duplicates()
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
     ).map_batches(orders_filter, batch_format="pandas")
-    returned = rd.read_parquet(
+    returned = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_returnflag"]
     ).map_batches(returned_keys, batch_format="pandas")
 
@@ -704,12 +679,8 @@ def late_shipment_orders(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     start_ts, end_ts = pd.Timestamp(start), pd.Timestamp(end)
     late = pd.Timedelta(days=late_days)
@@ -723,15 +694,14 @@ def late_shipment_orders(
             return batch
         return batch.groupby("l_orderkey", as_index=False)["max_ship"].max()
 
-    li = rd.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
     ).map_batches(max_partial, batch_format="pandas")
-    enable_hash_shuffle(li)
     maxes = li.repartition(npart, keys=["l_orderkey"]).map_batches(
         max_combine, batch_format="pandas", batch_size=None
     )
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
         filter=(
@@ -772,12 +742,8 @@ def part_small_quantity_revenue(sf_dir: str) -> rd.Dataset:
     int64 — so no float-associativity drift vs the SQL oracle, and the
     final scalar tree-reduces (single bounded key).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def stats_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -794,7 +760,7 @@ def part_small_quantity_revenue(sf_dir: str) -> rd.Dataset:
         return df.groupby("l_partkey", as_index=False)[["sum_qty", "n"]].sum()
 
     stats = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"]
         )
         .map_batches(stats_partial, batch_format="pandas")
@@ -820,7 +786,7 @@ def part_small_quantity_revenue(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby(["l_partkey", "qty"], as_index=False).sum()
 
-    buckets = rd.read_parquet(
+    buckets = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice"],
     ).map_batches(bucket_partial, batch_format="pandas")
@@ -870,7 +836,7 @@ def _lineitem_qty_finest(sf_dir: str) -> rd.Dataset:
             ["l_returnflag", "l_linestatus"], as_index=False
         ).sum()
 
-    finest = rd.read_parquet(
+    finest = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity"],
     ).map_batches(partial, batch_format="pandas")
@@ -926,7 +892,7 @@ def inactive_customers(sf_dir: str, since: str = "2001-01-01") -> rd.Dataset:
         return pd.DataFrame({"o_custkey": b["o_custkey"].unique()})
 
     recent = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
         )
         .map_batches(recent_keys, batch_format="pandas")
@@ -938,7 +904,7 @@ def inactive_customers(sf_dir: str, since: str = "2001-01-01") -> rd.Dataset:
         sel = ~batch["c_custkey"].isin(worker_value(keys_ref))
         return batch.loc[sel, ["c_custkey", "c_name"]]
 
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     ).map_batches(anti_probe, batch_format="pandas")
 
@@ -953,12 +919,8 @@ def inactive_customers_anti_join(
     dedupe trims shuffle volume (anti-join semantics don't need a
     global dedupe). Output is identical to the broadcast variant.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     since_ts = pd.Timestamp(since)
 
@@ -966,10 +928,10 @@ def inactive_customers_anti_join(
         b = batch[batch["o_orderdate"] >= since_ts]
         return pd.DataFrame({"o_custkey": b["o_custkey"].unique()})
 
-    recent = rd.read_parquet(
+    recent = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
     ).map_batches(recent_keys, batch_format="pandas")
-    customer = rd.read_parquet(
+    customer = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
     return customer.join(
@@ -1026,7 +988,7 @@ def supplier_region_rollup(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby("r_name", as_index=False).sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
     ).map_batches(probe, batch_format="pandas")
     # The region key space is bounded (5 regions) regardless of fact
@@ -1059,11 +1021,11 @@ def events_sorted_sink_scan(
 
     out_dir = tempfile.mkdtemp(prefix="ocrs_ray_sorted_")
     try:
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/events.parquet", columns=["ts", "value"]
         ).sort("ts").write_parquet(out_dir)
 
-        win = rd.read_parquet(
+        win = read_table(
             out_dir,
             columns=["ts", "value"],
             filter=(
@@ -1141,12 +1103,9 @@ def events_value_quantiles(sf_dir: str, partitions: int = 8) -> rd.Dataset:
             out, columns=["event_type", "p50_micro", "p95_micro", "n_events"]
         ).astype({"p50_micro": "int64", "p95_micro": "int64", "n_events": "int64"})
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(to_micro, batch_format="pandas")
-    enable_hash_shuffle(ds)
     return ds.repartition(partitions, keys=["event_type"]).map_batches(
         quantiles, batch_format="pandas", batch_size=None
     )
@@ -1227,12 +1186,9 @@ def events_distinct_users_hll(sf_dir: str, partitions: int = 8) -> rd.Dataset:
         out["n_users_est"] = out["n_users_est"].astype("int64")
         return out
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     ).map_batches(partial, batch_format="pandas")
-    enable_hash_shuffle(ds)
     return ds.repartition(partitions, keys=["event_type"]).map_batches(
         merge, batch_format="pandas", batch_size=None
     )
@@ -1280,7 +1236,7 @@ def events_daily_active_users_hll(sf_dir: str) -> rd.Dataset:
             rows, columns=["event_type", "day", "n_users_est"]
         ).astype({"day": "int64", "n_users_est": "int64"})
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "user_id"]
     ).map_batches(partial, batch_format="pandas")
     merged = tree_sum(
@@ -1376,7 +1332,7 @@ def part_type_revenue(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby("p_type", as_index=False).sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount"],
     ).map_batches(probe, batch_format="pandas")
@@ -1458,14 +1414,12 @@ def user_retention(sf_dir: str, horizon_days: int = 7) -> rd.Dataset:
             {"day": g["day"].astype("int64"), "n_retained": g["size"].astype("int64")}
         )
 
-    from ocrs_ray.ops.analytics import _tree_sum
-
-    return _tree_sum(
+    return tree_sum(
         _partition_by_user(sf_dir).map_batches(
             partial, batch_format="pandas", batch_size=None
         ),
-        "day",
-        "n_retained",
+        ["day"],
+        ["n_retained"],
     )
 
 
@@ -1496,12 +1450,8 @@ def q5_local_supplier_revenue(
 
     import ray
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     join_partitions = default_npart()
     t_from, t_to = pd.Timestamp(date_from), pd.Timestamp(date_to)
 
@@ -1558,7 +1508,7 @@ def q5_local_supplier_revenue(
             }
         )
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(order_probe, batch_format="pandas")
@@ -1583,7 +1533,7 @@ def q5_local_supplier_revenue(
             ["l_orderkey", "s_nationkey"], as_index=False
         )[["revenue_micro", "n_items"]].sum()
 
-    lineitem = rd.read_parquet(
+    lineitem = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(line_partial, batch_format="pandas")
@@ -1636,12 +1586,8 @@ def q18_large_orders(sf_dir: str, threshold: int = 250) -> rd.Dataset:
     rows. Quantities are integral in the data, so sum_qty is an exact
     int64 on both sides.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def qty_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1660,7 +1606,7 @@ def q18_large_orders(sf_dir: str, threshold: int = 250) -> rd.Dataset:
         return g[g["sum_qty"] > threshold]
 
     qualifying = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
         )
         .map_batches(qty_partial, batch_format="pandas")
@@ -1698,11 +1644,11 @@ def q18_large_orders(sf_dir: str, threshold: int = 250) -> rd.Dataset:
             }
         )
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     ).map_batches(orders_proj, batch_format="pandas")
-    customer = rd.read_parquet(
+    customer = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
 
@@ -1750,12 +1696,8 @@ def part_min_price_supplier(sf_dir: str) -> rd.Dataset:
     attachment is a native hash join, not a broadcast. Prices are exact
     at 2 decimals in the data, so micro-units are exact int64.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def argmin_local(df: pd.DataFrame) -> pd.DataFrame:
@@ -1777,7 +1719,7 @@ def part_min_price_supplier(sf_dir: str) -> rd.Dataset:
         return argmin_local(df)
 
     candidates = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_suppkey", "l_extendedprice"],
         )
@@ -1786,7 +1728,7 @@ def part_min_price_supplier(sf_dir: str) -> rd.Dataset:
         .map_batches(argmin_local, batch_format="pandas", batch_size=None)
     )
 
-    part = rd.read_parquet(
+    part = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
     )
     joined = candidates.join(
@@ -1851,7 +1793,7 @@ def lineitem_qty_price_stats(sf_dir: str) -> rd.Dataset:
             ["l_returnflag", "l_linestatus"], as_index=False
         ).sum()
 
-    partials = rd.read_parquet(
+    partials = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     ).map_batches(partial, batch_format="pandas")
@@ -1876,12 +1818,8 @@ def segment_top_spender(sf_dir: str) -> rd.Dataset:
     with no orders can never win a segment (spend > 0), so the inner
     join is semantically exact.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def spend_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1899,7 +1837,7 @@ def segment_top_spender(sf_dir: str) -> rd.Dataset:
         return df.groupby("o_custkey", as_index=False)["spend_micro"].sum()
 
     spend = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
         )
         .map_batches(spend_partial, batch_format="pandas")
@@ -1907,7 +1845,7 @@ def segment_top_spender(sf_dir: str) -> rd.Dataset:
         .map_batches(merge, batch_format="pandas", batch_size=None)
     )
 
-    customer = rd.read_parquet(
+    customer = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
     joined = spend.join(
@@ -1961,12 +1899,8 @@ def event_type_user_overlap(
     into the four (has_a, has_b) buckets, which tree-reduce shuffle-free
     (bounded key space). The shuffle ships flag rows, never events.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def flag_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1986,7 +1920,7 @@ def event_type_user_overlap(
         return out.astype({"has_a": "int64", "has_b": "int64", "n_users": "int64"})
 
     flags = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
         )
         .map_batches(flag_partial, batch_format="pandas")
@@ -2034,7 +1968,7 @@ def events_daily_dense_counts(sf_dir: str) -> rd.Dataset:
         return out
 
     counts = tree_sum(
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+        read_table(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
         .map_batches(partial, batch_format="pandas"),
         ["event_type", "day"],
         ["n_events"],
@@ -2076,7 +2010,7 @@ def returnflag_revenue_share(sf_dir: str) -> rd.Dataset:
         return out.sort_values("l_returnflag").reset_index(drop=True)
 
     totals = tree_sum(
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_returnflag", "l_extendedprice", "l_discount"],
         ).map_batches(partial, batch_format="pandas"),
@@ -2097,12 +2031,8 @@ def supplier_acctbal_rank(sf_dir: str) -> rd.Dataset:
     the integer cents — float balances would make tie detection
     engine-dependent).
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def to_cents(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2133,7 +2063,7 @@ def supplier_acctbal_rank(sf_dir: str) -> rd.Dataset:
         )
         return df.assign(bal_rank=r.to_numpy())
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_nationkey", "s_acctbal"],
     ).map_batches(to_cents, batch_format="pandas")
@@ -2173,7 +2103,7 @@ def orders_monthly_revenue_delta(sf_dir: str) -> rd.Dataset:
         return out.astype({"month": "int64", "delta_micro": "int64"})
 
     totals = tree_sum(
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
         ).map_batches(partial, batch_format="pandas"),
         ["month"],
@@ -2199,8 +2129,6 @@ def events_value_mad(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     integer micro-units, so the oracle compares bit-exactly.
     """
     import ray
-
-    from ocrs_ray.pipeline import enable_hash_shuffle
 
     def to_micro(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2230,10 +2158,9 @@ def events_value_mad(sf_dir: str, partitions: int = 8) -> rd.Dataset:
             )
         return grouped_median(df, "value_micro", "median_micro")
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(to_micro, batch_format="pandas")
-    enable_hash_shuffle(ds)
     medians = (
         ds.repartition(partitions, keys=["event_type"])
         .map_batches(pass1, batch_format="pandas", batch_size=None)
@@ -2264,10 +2191,9 @@ def events_value_mad(sf_dir: str, partitions: int = 8) -> rd.Dataset:
             )
         return grouped_median(df, "abs_dev_micro", "mad_micro")
 
-    ds2 = rd.read_parquet(
+    ds2 = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(abs_dev, batch_format="pandas")
-    enable_hash_shuffle(ds2)
     mads = ds2.repartition(partitions, keys=["event_type"]).map_batches(
         pass2, batch_format="pandas", batch_size=None
     )
@@ -2307,12 +2233,8 @@ def user_click_purchase_full_outer(sf_dir: str) -> rd.Dataset:
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def side(event_type: str, out_col: str) -> rd.Dataset:
@@ -2329,7 +2251,7 @@ def user_click_purchase_full_outer(sf_dir: str) -> rd.Dataset:
             return df.groupby("user_id", as_index=False)[out_col].sum()
 
         return (
-            rd.read_parquet(
+            read_table(
                 f"{sf_dir}/events.parquet",
                 columns=["user_id", "event_type"],
                 filter=(pads.field("event_type") == event_type),
@@ -2377,12 +2299,8 @@ def supplier_acctbal_dense_rank(sf_dir: str) -> rd.Dataset:
     repartition, vectorized per-block pandas `rank(method="dense")`
     over integer cents.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def to_cents(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2413,7 +2331,7 @@ def supplier_acctbal_dense_rank(sf_dir: str) -> rd.Dataset:
         )
         return df.assign(bal_dense_rank=r.to_numpy())
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_nationkey", "s_acctbal"],
     ).map_batches(to_cents, batch_format="pandas")
@@ -2594,12 +2512,8 @@ def events_value_band_join(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
     eps_micro = int(round(eps * MICRO))
 
@@ -2613,7 +2527,7 @@ def events_value_band_join(
         return band_pairs(df, eps_micro)
 
     return (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/events.parquet",
             columns=["event_id", "event_type", "value"],
             filter=(pads.field("event_type") == event_type),
@@ -2641,12 +2555,8 @@ def supplier_abc_classification(
     participate in the total; the cumulative total is per-nation, so
     no global sort exists anywhere.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def to_cents(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2700,7 +2610,7 @@ def supplier_abc_classification(
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_nationkey", "s_acctbal"],
     ).map_batches(to_cents, batch_format="pandas")
@@ -2726,12 +2636,8 @@ def orders_merge_upsert(sf_dir: str) -> rd.Dataset:
     MERGE takes when the change table arrives as its own dataset and
     unions in.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
-    enable_hash_shuffle()
     npart = default_npart()
 
     def emit(b: pd.DataFrame) -> pd.DataFrame:
@@ -2797,7 +2703,7 @@ def orders_merge_upsert(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
     ).map_batches(emit, batch_format="pandas")
     return ds.repartition(npart, keys=["o_orderkey"]).map_batches(
@@ -2818,12 +2724,8 @@ def events_weighted_median(sf_dir: str) -> rd.Dataset:
     integers (micro values, bigint weights) — the >= half test is
     2*cum >= total with no division.
     """
-    from ocrs_ray.pipeline import (
-        cluster_ncpu,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import cluster_ncpu
 
-    enable_hash_shuffle()
     npart = max(2, min(8, cluster_ncpu()))
     key_re = r'"k"\s*:\s*(-?\d+)'
 
@@ -2865,7 +2767,7 @@ def events_weighted_median(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value", "props"]
     ).map_batches(partial, batch_format="pandas")
     return ds.repartition(npart, keys=["event_type"]).map_batches(
@@ -2909,6 +2811,6 @@ def events_value_outliers(sf_dir: str, k: int = 3) -> rd.Dataset:
             }
         )
 
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
     ).map_batches(flag, batch_format="pandas")

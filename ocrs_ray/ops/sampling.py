@@ -18,6 +18,8 @@ import pandas as pd
 
 import ray.data as rd
 
+from ..session import read_table
+
 __all__ = [
     "docs_topk_longest",
     "sample_documents",
@@ -55,7 +57,7 @@ def docs_topk_longest(sf_dir: str, k: int = 50) -> rd.Dataset:
         g = df.sort_values(["n_chars", "doc_id"], ascending=[False, True])
         return g.head(k)[["doc_id", "n_chars"]]
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     ).map_batches(local_topk, batch_format="pandas")
     return ds.repartition(1).map_batches(
@@ -70,7 +72,7 @@ def sample_documents(sf_dir: str, one_in: int = 20) -> rd.Dataset:
         sel = md5_bucket(df["doc_id"]) % one_in == 0
         return df.loc[sel, ["doc_id", "n_chars"]]
 
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     ).map_batches(keep, batch_format="pandas")
 
@@ -102,7 +104,7 @@ def docs_split_stats(sf_dir: str) -> rd.Dataset:
         )
         return out.groupby("split", as_index=False).sum()
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     ).map_batches(partial, batch_format="pandas")
     return tree_sum(ds, ["split"], ["n_docs", "sum_chars"])
@@ -128,8 +130,6 @@ def docs_pack_chunks(
     collide; the per-block groupby-cumsum handles that), then the
     packing itself is a vectorized sort + cumsum.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     def add_part(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -160,10 +160,9 @@ def docs_pack_chunks(
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     ).map_batches(add_part, batch_format="pandas")
-    enable_hash_shuffle(ds)
     return ds.repartition(partitions, keys=["pack_part"]).map_batches(
         pack, batch_format="pandas", batch_size=None
     )
@@ -185,8 +184,6 @@ def docs_shuffle_rank(sf_dir: str, partitions: int = 8) -> rd.Dataset:
     doc_id, and a collision never straddles ranges (same bucket ->
     same range), so the composition is exact.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     from .relational import tree_sum
 
     def add_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -205,7 +202,7 @@ def docs_shuffle_rank(sf_dir: str, partitions: int = 8) -> rd.Dataset:
         )
         return out.groupby("part", as_index=False).sum()
 
-    base = rd.read_parquet(
+    base = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     ).map_batches(add_part, batch_format="pandas")
 
@@ -243,7 +240,6 @@ def docs_shuffle_rank(sf_dir: str, partitions: int = 8) -> rd.Dataset:
             )
         return pd.concat(frames, ignore_index=True)
 
-    enable_hash_shuffle(base)
     return base.repartition(partitions, keys=["part"]).map_batches(
         rank_block, batch_format="pandas", batch_size=None
     )
@@ -272,7 +268,7 @@ def docs_length_outlier_filter(sf_dir: str, q: float = 0.99) -> rd.Dataset:
         )
         return out.groupby("n_chars", as_index=False).sum()
 
-    base = rd.read_parquet(
+    base = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
     counts = (
@@ -313,7 +309,7 @@ def source_budget_sample(sf_dir: str, budget_chars: int = 3000) -> rd.Dataset:
         )
         return out.groupby("source", as_index=False).sum()
 
-    base = rd.read_parquet(
+    base = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
     totals = (
@@ -372,7 +368,7 @@ def events_bottomk_sample(sf_dir: str, k: int = 20) -> rd.Dataset:
         return df.groupby("event_type", sort=False).head(k)
 
     return (
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "event_type"])
+        read_table(f"{sf_dir}/events.parquet", columns=["event_id", "event_type"])
         .map_batches(local_bottomk, batch_format="pandas")
         .repartition(1)
         .map_batches(local_bottomk, batch_format="pandas", batch_size=None)

@@ -22,6 +22,7 @@ import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
+from ..session import read_table
 
 __all__ = [
     "HashingEmbedder",
@@ -110,7 +111,7 @@ def _query_vectors(sf_dir: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]
         return pa.table({"vec_id": pa.array(v[:n_queries], type=pa.int64())})
 
     parts = (
-        rd.read_parquet(path, columns=["vec_id"])
+        read_table(path, columns=["vec_id"])
         .map_batches(partial_bottomk, batch_format="pyarrow")
         .take_all()
     )
@@ -202,7 +203,7 @@ def ann_topk_bruteforce(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(local_topk, batch_format="pyarrow", batch_size=2048)
 
@@ -296,7 +297,7 @@ def ann_topk_lsh(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(bucket_scan, batch_format="pyarrow", batch_size=2048)
 
@@ -386,7 +387,7 @@ def ann_topk_ivf(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(cell_scan, batch_format="pyarrow", batch_size=2048)
 
@@ -523,7 +524,7 @@ def ann_topk_pq(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(pq_scan, batch_format="pyarrow", batch_size=2048)
 
@@ -640,7 +641,7 @@ def ann_topk_ivfpq(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(ivfpq_scan, batch_format="pyarrow", batch_size=2048)
 
@@ -688,7 +689,7 @@ def kmeans_embeddings(
     cents = hmat[rng.permutation(len(hmat))[:k]].copy()
 
     def read() -> rd.Dataset:
-        return rd.read_parquet(
+        return read_table(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         )
 
@@ -830,8 +831,6 @@ def _semdedup_core(
     to its nearest cosine centroid (broadcast k x d matrix), ONE keyed
     repartition on cluster_id, per-cluster triangular prune. Returns
     surviving (id_col, cluster_id) rows."""
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
     cents_ref = ray.put(cents)
 
     def assign_cluster(batch: pa.Table) -> pa.Table:
@@ -890,7 +889,6 @@ def _semdedup_core(
         )
 
     ds = ds.map_batches(assign_cluster, batch_format="pyarrow", batch_size=2048)
-    enable_hash_shuffle(ds)
     return ds.repartition(npart, keys=["cluster_id"]).map_batches(
         prune_block, batch_format="pandas", batch_size=None
     )
@@ -943,7 +941,7 @@ def semdedup_survivors(
         )
     )
     cents = spherical_kmeans(sample, nlist, seed=seed, iters=iters)
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return _semdedup_core(
@@ -994,7 +992,7 @@ def docs_semdedup_survivors(
     sample = _unit(np.asarray(sample_rows[:want], dtype=np.float64))
     cents = spherical_kmeans(sample, nlist, seed=seed, iters=iters)
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(HashingEmbedder(dim), batch_format="pandas")
     return _semdedup_core(
@@ -1030,7 +1028,7 @@ def embedding_label_centroid(sf_dir: str) -> rd.Dataset:
         out["dim"] = out["dim"].astype("int64") + 1  # 1-based like SQL
         return out.merge(cnt, on="label")
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
     ).map_batches(partial, batch_format="pandas")
     return tree_sum(ds, ["label", "dim"], ["sum_micro", "n"])
@@ -1076,7 +1074,7 @@ def embedding_top_component(sf_dir: str) -> rd.Dataset:
         )
 
     parts = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         )
         .map_batches(partial, batch_format="pyarrow", batch_size=2048)
@@ -1135,7 +1133,7 @@ def embedding_quantize_int8(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(quantize, batch_format="pyarrow", batch_size=2048)
 
@@ -1196,7 +1194,7 @@ def ann_topk_int8(
             }
         )
 
-    local = rd.read_parquet(
+    local = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(quantized_topk, batch_format="pyarrow", batch_size=2048)
     return _finalize_topk(local, k)
@@ -1261,6 +1259,6 @@ def docs_embed_hashing(sf_dir: str, dim: int = 64) -> rd.Dataset:
     determinism + unit-norm + exact kernel values pinned in
     tests/test_ops.py without Ray.
     """
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(HashingEmbedder(dim), batch_format="pandas")

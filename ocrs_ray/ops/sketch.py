@@ -25,6 +25,7 @@ import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
+from ..session import read_table
 
 __all__ = [
     "TDigest",
@@ -176,7 +177,7 @@ def events_value_tdigest(sf_dir: str, delta: int = 100) -> rd.Dataset:
             )
         return pd.DataFrame(out)
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).map_batches(partial, batch_format="pandas")
     return ds.repartition(1).map_batches(final, batch_format="pandas", batch_size=None)
@@ -271,7 +272,7 @@ def active_customers_bloom(
     def qualifying_keys(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.loc[batch["o_orderdate"] >= cutoff, ["o_custkey"]]
 
-    build = rd.read_parquet(
+    build = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
     ).map_batches(qualifying_keys, batch_format="pandas")
     ref = ray.put(build_bloom(build, "o_custkey", n_bits, k))
@@ -280,6 +281,6 @@ def active_customers_bloom(
         keep = worker_value(ref).contains(batch["c_custkey"].to_numpy())
         return batch.loc[keep, ["c_custkey", "c_name"]]
 
-    return rd.read_parquet(
+    return read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     ).map_batches(probe, batch_format="pandas")

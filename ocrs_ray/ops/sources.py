@@ -23,6 +23,8 @@ import pyarrow.csv as pacsv
 
 import ray.data as rd
 
+from ..session import read_table, source
+
 __all__ = [
     "DOCUMENTS_SCHEMA",
     "documents_from_jsonl",
@@ -70,6 +72,7 @@ def _normalize(batch: pa.Table) -> pa.Table:
     return pa.table(dict(zip(_COLUMNS, arrays)))
 
 
+@source
 def documents_from_jsonl(path: str) -> rd.Dataset:
     """Documents from newline-delimited JSON (one object per line,
     `.jsonl` / `.json`). Text with embedded newlines is safe (JSON
@@ -79,6 +82,7 @@ def documents_from_jsonl(path: str) -> rd.Dataset:
     )
 
 
+@source
 def documents_from_csv(path: str) -> rd.Dataset:
     """Documents from CSV with a header row. `newlines_in_values` is
     on because document text legitimately contains newlines inside
@@ -90,6 +94,7 @@ def documents_from_csv(path: str) -> rd.Dataset:
     ).map_batches(_normalize, batch_format="pyarrow")
 
 
+@source
 def documents_from_jsonl_gz(path: str) -> rd.Dataset:
     """Documents from gzip-compressed JSONL shards (`.jsonl.gz` — the
     shape crawl dumps actually ship in). Decompression happens inside
@@ -136,6 +141,7 @@ def write_documents_arrow_ipc(ds: rd.Dataset, out_dir: str) -> int:
     return manifest.count()
 
 
+@source
 def documents_from_arrow_ipc(path_dir: str) -> rd.Dataset:
     """Arrow IPC source: one read task per .arrow shard
     (read_binary_files), decoded zero-copy via pa.ipc and normalized
@@ -169,7 +175,7 @@ def docs_arrow_ipc_roundtrip(sf_dir: str) -> rd.Dataset:
 
     out_dir = tempfile.mkdtemp(prefix="ocrs_ray_ipc_")
     try:
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet")
+        ds = read_table(f"{sf_dir}/documents.parquet")
         write_documents_arrow_ipc(ds, out_dir)
 
         def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -318,6 +324,7 @@ def write_documents_webdataset(ds: rd.Dataset, out_dir: str) -> rd.Dataset:
     ).materialize()
 
 
+@source
 def documents_from_webdataset(path_dir: str) -> rd.Dataset:
     """WebDataset source: one read task per .tar shard
     (read_binary_files), decoded via `decode_webdataset_shard` and
@@ -355,7 +362,7 @@ def docs_webdataset_roundtrip(sf_dir: str) -> rd.Dataset:
 
     out_dir = tempfile.mkdtemp(prefix="ocrs_ray_wds_")
     try:
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet")
+        ds = read_table(f"{sf_dir}/documents.parquet")
         write_documents_webdataset(ds, out_dir)
         return documents_from_webdataset(out_dir).materialize()
     finally:
@@ -394,7 +401,7 @@ def docs_partitioned_sink_roundtrip(sf_dir: str) -> rd.Dataset:
 
     out_dir = tempfile.mkdtemp(prefix="ocrs_ray_sink_")
     try:
-        ds = rd.read_parquet(
+        ds = read_table(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
         )
         write_documents_partitioned(ds, out_dir)
@@ -408,7 +415,7 @@ def docs_partitioned_sink_roundtrip(sf_dir: str) -> rd.Dataset:
         from .relational import tree_sum
 
         counts = tree_sum(
-            rd.read_parquet(out_dir).map_batches(partial, batch_format="pandas"),
+            read_table(out_dir).map_batches(partial, batch_format="pandas"),
             ["source"],
             ["n_docs"],
         )
@@ -438,19 +445,14 @@ def compact_partitioned_corpus(
     the writer emits one file per (block, key) — file count is then
     `partitions`-bounded rather than writer-fragmentation-bounded.
     """
-    from ocrs_ray.pipeline import (
-        default_npart,
-        enable_hash_shuffle,
-    )
+    from ocrs_ray.pipeline import default_npart
 
     npart = partitions or default_npart()
     # file_extensions lets a caller compact a layout whose root also
     # holds non-parquet state (e.g. a job manifest.jsonl next to the
     # part=N/ dirs); hive partition columns (`key`) are inferred.
-    ds = rd.read_parquet(in_dir, file_extensions=file_extensions)
-    enable_hash_shuffle(ds)
+    ds = read_table(in_dir, file_extensions=file_extensions)
     compacted = ds.repartition(npart, keys=[key])
-    enable_hash_shuffle(compacted)
     compacted.write_parquet(out_dir, partition_cols=[key])
     return _count_parquet_files(out_dir)
 
@@ -497,7 +499,7 @@ def docs_compacted_sink_roundtrip(
     frag_dir = tempfile.mkdtemp(prefix="ocrs_ray_frag_")
     comp_dir = tempfile.mkdtemp(prefix="ocrs_ray_comp_")
     try:
-        ds = rd.read_parquet(
+        ds = read_table(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
         )
         ds.repartition(fragment_factor).write_parquet(
@@ -528,7 +530,7 @@ def docs_compacted_sink_roundtrip(
             )
 
         counts = tree_sum(
-            rd.read_parquet(comp_dir).map_batches(
+            read_table(comp_dir).map_batches(
                 partial, batch_format="pandas"
             ),
             ["source"],
@@ -562,7 +564,7 @@ def docs_jsonl_roundtrip(sf_dir: str) -> rd.Dataset:
 
     out_dir = tempfile.mkdtemp(prefix="ocrs_ray_jsonl_")
     try:
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet")
+        ds = read_table(f"{sf_dir}/documents.parquet")
         write_documents_jsonl(ds, out_dir)
 
         def partial(b: pd.DataFrame) -> pd.DataFrame:

@@ -17,6 +17,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..session import read_table
+
 __all__ = [
     "read_documents",
     "token_counts",
@@ -58,7 +60,7 @@ _LANG_STOPWORDS: dict[str, frozenset[str]] = {
 
 
 def read_documents(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return read_table(f"{sf_dir}/documents.parquet", columns=columns)
 
 
 def token_counts(sf_dir: str) -> rd.Dataset:

@@ -55,6 +55,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..pipeline import worker_value
+from ..session import read_table
 from .relational import MICRO, round_half_away, tree_sum
 
 __all__ = [
@@ -138,7 +139,7 @@ def q6_forecast_revenue(
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
         filter=pred,
@@ -172,9 +173,6 @@ def q7_nation_volume(
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     nation = pq.read_table(
@@ -223,7 +221,7 @@ def q7_nation_volume(
             }
         )
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=[
             "l_orderkey",
@@ -237,7 +235,7 @@ def q7_nation_volume(
             & (pads.field("l_shipdate") < _ts(date_to))
         ),
     ).map_batches(line_partial, batch_format="pandas")
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     ).map_batches(orders_proj, batch_format="pandas")
     joined = line.join(
@@ -298,9 +296,6 @@ def q10_returned_customers(
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     def line_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -312,13 +307,13 @@ def q10_returned_customers(
         )
         return df.groupby("l_orderkey", as_index=False)["revenue_micro"].sum()
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
         filter=(pads.field("l_returnflag") == "R"),
     ).map_batches(line_partial, batch_format="pandas")
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=(
@@ -424,12 +419,9 @@ def q12_priority_linestatus(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linestatus", "l_shipdate"],
         filter=(
@@ -455,7 +447,7 @@ def q12_priority_linestatus(
             }
         )
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
     ).map_batches(orders_proj, batch_format="pandas")
 
@@ -540,7 +532,7 @@ def q14_promo_revenue(
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
         filter=(
@@ -573,9 +565,6 @@ def q16_supplier_part_counts(
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     part = pq.read_table(
@@ -621,7 +610,7 @@ def q16_supplier_part_counts(
             {"supplier_cnt": "int64"}
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     ).map_batches(project, batch_format="pandas")
     return ds.repartition(npart, keys=["p_brand", "p_size"]).map_batches(
@@ -689,7 +678,7 @@ def q19_disjunctive_revenue(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     ).map_batches(partial, batch_format="pandas")
@@ -718,9 +707,6 @@ def q22_idle_balance_customers(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     def cents_of(b: pd.DataFrame) -> np.ndarray:
@@ -736,7 +722,7 @@ def q22_idle_balance_customers(
         )
 
     stats = (
-        rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_acctbal"])
+        read_table(f"{sf_dir}/customer.parquet", columns=["c_acctbal"])
         .map_batches(avg_partial, batch_format="pandas")
         .repartition(1)
         .map_batches(
@@ -765,12 +751,12 @@ def q22_idle_balance_customers(
             }
         )
 
-    customers = rd.read_parquet(
+    customers = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_mktsegment", "c_acctbal"],
     ).map_batches(rich, batch_format="pandas")
 
-    recent = rd.read_parquet(
+    recent = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderdate"],
         filter=(pads.field("o_orderdate") >= _ts(idle_since)),
@@ -826,9 +812,6 @@ def q21_sole_returned_supplier(sf_dir: str) -> rd.Dataset:
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -871,7 +854,7 @@ def q21_sole_returned_supplier(sf_dir: str) -> rd.Dataset:
         return df.groupby("l_suppkey", as_index=False)["numwait"].sum()
 
     counts = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_orderkey", "l_suppkey", "l_returnflag"],
         )
@@ -924,9 +907,6 @@ def q8_market_share(
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     nation = pq.read_table(
@@ -1003,7 +983,7 @@ def q8_market_share(
         sel = b["o_custkey"].isin(worker_value(cust_in_region_ref)).to_numpy()
         return pd.DataFrame({"o_orderkey": b["o_orderkey"].to_numpy()[sel]})
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=[
             "l_orderkey",
@@ -1017,7 +997,7 @@ def q8_market_share(
             & (pads.field("l_shipdate") < _ts(date_to))
         ),
     ).map_batches(line_partial, batch_format="pandas")
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     ).map_batches(orders_proj, batch_format="pandas")
     joined = line.join(
@@ -1071,9 +1051,6 @@ def q15_top_supplier(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     def rev_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1094,7 +1071,7 @@ def q15_top_supplier(
         return df[df["total_revenue_micro"] == df["total_revenue_micro"].max()]
 
     rev = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
             filter=(
@@ -1109,7 +1086,7 @@ def q15_top_supplier(
         .repartition(1)
         .map_batches(local_winners, batch_format="pandas", batch_size=None)
     )
-    supplier = rd.read_parquet(
+    supplier = read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     )
     joined = rev.join(
@@ -1160,9 +1137,6 @@ def q9_product_profit(
 
     import ray
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     nation = pq.read_table(
@@ -1196,14 +1170,14 @@ def q9_product_profit(
             }
         )
 
-    parts = rd.read_parquet(
+    parts = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_name", "p_retailprice"],
     ).map_batches(part_filter, batch_format="pandas").materialize()
     # ^ bounded by name selectivity; measured to pick the attach path.
     broadcast_parts = parts.size_bytes() <= part_broadcast_limit_bytes
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=[
             "l_orderkey",
@@ -1271,7 +1245,7 @@ def q9_product_profit(
             }
         )
 
-    orders = rd.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
     ).map_batches(orders_proj, batch_format="pandas")
 
@@ -1318,9 +1292,6 @@ def q11_important_parts(
     `rev * mult_den * n_parts > mult_num * total`, exact for
     integers), matching the oracle's HUGEINT arithmetic bit for bit.
     """
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
     def part_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1337,7 +1308,7 @@ def q11_important_parts(
     # global total (their sum IS the corpus total) and the keyed
     # combine, instead of scanning the biggest table twice.
     partials = (
-        rd.read_parquet(
+        read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_extendedprice", "l_discount"],
         )
@@ -1345,7 +1316,7 @@ def q11_important_parts(
         .materialize()
     )
     total = int(partials.sum("revenue_micro"))
-    n_parts = rd.read_parquet(
+    n_parts = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey"]
     ).count()
     thr = (mult_num * total) // max(mult_den * n_parts, 1)
@@ -1361,7 +1332,6 @@ def q11_important_parts(
         g = df.groupby("l_partkey", as_index=False)["revenue_micro"].sum()
         return g[g["revenue_micro"] > thr].reset_index(drop=True)
 
-    enable_hash_shuffle(partials)
     return partials.repartition(npart, keys=["l_partkey"]).map_batches(
         combine_filter, batch_format="pandas", batch_size=None
     )
@@ -1393,12 +1363,9 @@ def q20_heavy_shippers(
     """
     import pyarrow.dataset as pads
 
-    from ocrs_ray.pipeline import enable_hash_shuffle
-
-    enable_hash_shuffle()
     npart = _npart()
 
-    line = rd.read_parquet(
+    line = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
         filter=(
@@ -1410,7 +1377,7 @@ def q20_heavy_shippers(
         batch_format="pandas",
     )
 
-    parts = rd.read_parquet(
+    parts = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
     ).map_batches(
         lambda b: b.loc[b["p_type"] == p_type, ["p_partkey"]],
@@ -1448,7 +1415,6 @@ def q20_heavy_shippers(
         return out.astype({"n_heavy_parts": "int64"})
 
     pairs = typed.map_batches(pair_partial, batch_format="pandas")
-    enable_hash_shuffle(pairs)
     supp_counts = (
         pairs.repartition(npart, keys=["l_suppkey", "l_partkey"])
         .map_batches(pair_threshold, batch_format="pandas", batch_size=None)
@@ -1528,13 +1494,12 @@ def q20_heavy_shippers(
         g = g[(g["n_heavy_parts"] > 0) & (g["s_name"] != "")]
         return g[["s_suppkey", "s_name", "n_heavy_parts"]].reset_index(drop=True)
 
-    names = rd.read_parquet(
+    names = read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     ).map_batches(tag_names, batch_format="pandas")
     tagged = supp_counts.map_batches(tag_counts, batch_format="pandas").union(
         names
     )
-    enable_hash_shuffle(tagged)
     return tagged.repartition(npart, keys=["s_suppkey"]).map_batches(
         decorate, batch_format="pandas", batch_size=None
     )

@@ -60,6 +60,7 @@ from .schema import (
     SPANS_SCHEMA,
     validate_schema,
 )
+from .session import cluster_ncpu, enable_hash_shuffle, read_table, source
 
 __all__ = [
     "OcrPipelineConfig",
@@ -159,12 +160,12 @@ class OcrPipelineConfig:
 
 
 def read_spans(path: str, columns: list[str] | None = None) -> rd.Dataset:
-    """Read the spans table, validating the declared schema."""
+    """Read the spans table through the session kernel (`read_table`),
+    validating the declared schema."""
     import pyarrow.parquet as pq
 
-    enable_hash_shuffle()
     validate_schema(pq.ParquetFile(_first_file(path)).schema_arrow, SPANS_SCHEMA, "spans")
-    return rd.read_parquet(path, columns=columns)
+    return read_table(path, columns=columns)
 
 
 def _lance_available() -> bool:
@@ -177,20 +178,20 @@ def _lance_available() -> bool:
     return hasattr(rd, "read_lance")
 
 
+@source
 def read_spans_lance(path: str, columns: list[str] | None = None) -> rd.Dataset:
     """Read the spans table from a Lance dataset (the north-star input
     format: fragment-aligned random access + column pruning), falling
     back to parquet when pylance is not installed (this sandbox).
     `ray.data.read_lance` streams fragments exactly like read_parquet
     streams row groups, so the rest of the pipeline is format-agnostic.
-    Mirrors the `read_spans` contract: hash shuffle enabled BEFORE
-    dataset creation (contexts snapshot at creation) and the declared
-    schema validated at read time, not deep inside explode_spans.
+    Mirrors the `read_spans` contract: the session configured before
+    the dataset is created (`session.source`) and the declared schema
+    validated at read time, not deep inside explode_spans.
     """
     if _lance_available():
         import lance
 
-        enable_hash_shuffle()
         validate_schema(lance.dataset(path).schema, SPANS_SCHEMA, "spans")
         return rd.read_lance(path, columns=columns)
     return read_spans(path, columns)
@@ -309,7 +310,7 @@ class MediaTable:
 
     def __init__(self, media: rd.Dataset | str):
         if isinstance(media, str):
-            media = rd.read_parquet(media, columns=MEDIA_COLUMNS)
+            media = read_table(media, columns=MEDIA_COLUMNS)
         self.blocks = media.materialize().to_arrow_refs()
         metas = ray.get([_index_block.remote(b) for b in self.blocks])
         metas = metas or [MEDIA_SCHEMA.empty_table().select(["media_ref", "height", "width"])]
@@ -711,15 +712,6 @@ def reassemble_block(batch: pa.Table) -> pa.Table:
     return pa.table({"doc_id": doc_ids, "spans": spans}, schema=SPANS_SCHEMA)
 
 
-def cluster_ncpu(default: int = 8) -> int:
-    """CPU budget of the current Ray cluster (fallback when Ray is not
-    yet initialized). The single source of truth for pool/partition
-    sizing — keep callers on this helper so the fallback can't diverge."""
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", default))
-    return default
-
-
 def default_npart() -> int:
     """Default keyed-exchange partition count: scale with the cluster
     but cap at 16 — a larger hash exchange at a small test session
@@ -727,47 +719,6 @@ def default_npart() -> int:
     for hash shuffle") and the query crawls. ONE copy of the test-
     scale rule; real deployments pass npart explicitly."""
     return max(2, min(16, cluster_ncpu()))
-
-
-def enable_hash_shuffle(ds: rd.Dataset | None = None) -> bool:
-    """Switch Ray Data to the hash-shuffle strategy (needed for
-    key-based repartition, e.g. the balanced OCR path's exchange on its
-    bin id). Returns False when unavailable.
-
-    Datasets snapshot the DataContext at creation, so this must run
-    before `read_parquet` — or pass the dataset to patch its captured
-    context.
-    """
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        ncpu = cluster_ncpu()
-        contexts = [rd.DataContext.get_current()]
-        if ds is not None and getattr(ds, "context", None) is not None:
-            contexts.append(ds.context)
-        for ctx in contexts:
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            # Defaults (64 aggregators, 200 partitions, 300 s min wait)
-            # are sized for big clusters; cap to the local CPU budget so
-            # shuffle actors don't starve the map stages on a small node.
-            # On a real multi-node cluster the defaults scale back up
-            # with cluster_resources().
-            # Aggregator actors poll even when idle; one per ~4 CPUs is
-            # plenty for the small shuffle payloads here and keeps them
-            # from stealing cycles from compute actors.
-            ctx.max_hash_shuffle_aggregators = max(2, ncpu // 4)
-            # Default shuffle parallelism is 200 partitions; at 200 x
-            # 1/16 CPU the aggregators alone want 12.5 CPUs and starve
-            # the map stages on a small node. Scale partitions to the
-            # CPU budget (a real cluster raises this automatically).
-            ctx.default_hash_shuffle_parallelism = max(8, ncpu)
-            # Aggregators start in well under a second on a local
-            # cluster; the 300 s default (and even 5 s) adds dead time
-            # to every shuffle-bearing query.
-            ctx.min_hash_shuffle_aggregator_wait_time_in_s = 1
-        return True
-    except Exception:
-        return False
 
 
 def _document_ocr(
@@ -795,6 +746,8 @@ def _document_ocr(
         ).map_batches(
             assign_weighted_partitions, fn_kwargs={"num_partitions": n}, batch_format="pyarrow"
         )
+        # The spans come from the caller and may predate the session's
+        # configuration, so their captured context is patched here.
         enable_hash_shuffle(spans_ds)
         # The OCR processors read doc_id and spans only, so the bin
         # columns (pixels, wpart) end at the OCR stage.

@@ -29,6 +29,7 @@ import ray.data as rd
 from .corpus import make_engine
 from .output import generate_annotated_png
 from .pipeline import MEDIA_COLUMNS, decode_media, warm_engine
+from .session import read_table
 
 __all__ = [
     "AnnotatedImageProcessor",
@@ -183,7 +184,7 @@ class LineImageProcessor:
 def _stage(media_path: str, fn: Callable) -> rd.Dataset:
     """`fn`, a sink processor instance, as a task stage over the media
     table: no actor pool, so its engine stays warm across jobs."""
-    return rd.read_parquet(media_path, columns=MEDIA_COLUMNS).map_batches(
+    return read_table(media_path, columns=MEDIA_COLUMNS).map_batches(
         fn, batch_format="pyarrow", batch_size=32
     )
 

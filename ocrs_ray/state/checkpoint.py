@@ -39,13 +39,9 @@ import pyarrow.parquet as pq
 
 import ray
 
-from ..pipeline import (
-    OcrPipelineConfig,
-    build_ocr_pipeline,
-    enable_hash_shuffle,
-    load_media_store,
-)
+from ..pipeline import OcrPipelineConfig, build_ocr_pipeline, load_media_store
 from ..schema import SPANS_SCHEMA, validate_schema
+from ..session import read_table
 from .metrics import get_metrics_actor, metrics_snapshot
 
 __all__ = ["ShardPlan", "Manifest", "plan_shards", "run_ocr_job"]
@@ -153,13 +149,10 @@ class Manifest:
 def _read_shard(spans_path: str, shard: ShardPlan):
     """Predicate-pushdown read of one shard; row groups outside the
     doc_id range are pruned from the footer statistics."""
-    import ray.data as rd
-
-    enable_hash_shuffle()
     expr = (pc.field("doc_id") >= shard.doc_id_min) & (
         pc.field("doc_id") <= shard.doc_id_max
     )
-    return rd.read_parquet(spans_path, filter=expr)
+    return read_table(spans_path, filter=expr)
 
 
 def _stable_snapshot(metrics, settle_s: float = 0.05, timeout_s: float = 2.0) -> dict:
@@ -295,11 +288,9 @@ def read_output(out_root: str):
     run is excluded)."""
     import glob
 
-    import ray.data as rd
-
     files = [
         f
         for sid in sorted(Manifest(out_root).committed())
         for f in sorted(glob.glob(os.path.join(out_root, f"part={sid}", "*.parquet")))
     ]
-    return rd.read_parquet(files)
+    return read_table(files)

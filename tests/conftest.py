@@ -21,7 +21,12 @@ def ray_session():
         )
     from ray.data import DataContext
 
+    from ocrs_ray.session import enable_hash_shuffle
+
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
+    # Configure once, so a test-built dataset (`rd.from_items`,
+    # `rd.from_arrow`) handed to a keyed helper hashes whatever ran first.
+    enable_hash_shuffle()
     yield
     ray.shutdown()

@@ -1022,6 +1022,10 @@ def test_snapshot_new_texts_anti_join(ray_session):
     an existing text, so the output is exactly the changed set —
     misses flow through the definitely-new fast path, re-ingested
     copies hit the A-Bloom and are dropped by the exact verify."""
+    _check_snapshot_new_texts()
+
+
+def _check_snapshot_new_texts():
     import pyarrow.parquet as pq
 
     from ocrs_ray.ops.dedup import snapshot_new_texts
@@ -1032,6 +1036,29 @@ def test_snapshot_new_texts_anti_join(ray_session):
     expected = np.sort(ids[(ids % 7 != 0) & (ids % 11 == 0)])
     assert (out["status"] == "changed").all()
     assert np.array_equal(np.sort(out["doc_id"].to_numpy()), expected)
+
+
+def test_snapshot_new_texts_hashes_from_default_context(ray_session):
+    """The session contract: an op configures the context through its
+    reads (`session.read_table`), not by patching its datasets. With
+    the driver's context reset to Ray's default (sort) strategy,
+    `snapshot_new_texts`, whose keyed repartition sits behind a later
+    `union`, must still hash (under sort it raises "Key-based
+    repartitioning only supported for HASH_SHUFFLE") and return the
+    same rows."""
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    from ocrs_ray.session import enable_hash_shuffle
+
+    ctx = DataContext.get_current()
+    ctx.shuffle_strategy = DataContext().shuffle_strategy
+    assert ctx.shuffle_strategy != ShuffleStrategy.HASH_SHUFFLE
+    try:
+        _check_snapshot_new_texts()
+        assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
+    finally:
+        enable_hash_shuffle()
 
 
 def test_prefix_rows_empty_batch_typed():
@@ -1376,6 +1403,27 @@ def test_ops_stages_run_as_tasks():
             if names_class or kwargs:
                 bad.append(f"{path.name}:{call.lineno}")
     assert not bad, f"actor-pool map_batches stages: {bad}"
+
+
+def test_ops_read_through_session_kernel():
+    """No ops module reads parquet or patches a dataset's context by
+    hand: tables come from `session.read_table`, which configures the
+    session before the dataset is created."""
+    import ast
+    import pathlib
+
+    import ocrs_ray.ops
+
+    banned = {"read_parquet", "enable_hash_shuffle"}
+    bad = []
+    for path in sorted(pathlib.Path(ocrs_ray.ops.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                f = call.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in banned:
+                    bad.append(f"{path.name}:{call.lineno} {name}")
+    assert not bad, f"ops calls outside the session kernel: {bad}"
 
 
 def test_worker_value_caches_per_process(ray_session, monkeypatch):
