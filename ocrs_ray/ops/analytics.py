@@ -20,13 +20,14 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
-from ..session import read_table
-from .relational import MICRO, round_half_away, tree_sum
+from ..session import cogroup, read_table
+from .relational import MICRO, hash_sum, round_half_away, tree_sum
 from .text import read_documents
 
 __all__ = [
@@ -144,51 +145,14 @@ def _doc_score_cogroup(
     npart: int,
 ) -> rd.Dataset:
     """Distributed per-document additive scoring: (doc_id, *key, tf)
-    rows cogroup with (*key, score_micro) rows on the term key (tagged
-    union + one keyed repartition — never a native join against the
-    sparse score side), emit per-block (doc_id, n_part, sum_part)
-    partials, then one doc_id-keyed repartition finishes the sums.
-    Exact: micro-scores are integers, so tf*score partials sum
-    order-independently."""
-    import pyarrow as pa
+    rows cogroup with (*key, score_micro) rows on the term key
+    (`session.cogroup` — never a native join against the sparse score
+    side), emit per-partition (doc_id, n_part, sum_part) partials, then
+    one doc_id-keyed `hash_sum` finishes the sums. Exact: micro-scores
+    are integers, so tf*score partials sum order-independently."""
+    terms = [(k, pa.string()) for k in key_cols]
 
-    def tagged_empty() -> pa.Table:
-        cols = {"doc_id": pa.array([], type=pa.int64())}
-        cols.update({k: pa.array([], type=pa.string()) for k in key_cols})
-        cols["tf"] = pa.array([], type=pa.int64())
-        cols["score_micro"] = pa.array([], type=pa.int64())
-        return pa.table(cols)
-
-    def tag_docs(df: pd.DataFrame):
-        if df.empty:
-            return tagged_empty()
-        out = df[["doc_id", *key_cols, "tf"]].copy()
-        out["score_micro"] = np.zeros(len(df), dtype="int64")
-        return out
-
-    def tag_scores(df: pd.DataFrame):
-        if df.empty:
-            return tagged_empty()
-        out = df[[*key_cols, "score_micro"]].copy()
-        out.insert(0, "doc_id", np.full(len(df), -1, dtype="int64"))
-        out["tf"] = np.zeros(len(df), dtype="int64")
-        return out[["doc_id", *key_cols, "tf", "score_micro"]]
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_part": pd.Series([], dtype="int64"),
-                "sum_part": pd.Series([], dtype="int64"),
-            }
-        )
-        if df.empty:
-            return empty
-        is_doc = df["doc_id"].to_numpy() >= 0
-        docs = df.loc[is_doc, ["doc_id", *key_cols, "tf"]]
-        sc = df.loc[~is_doc, [*key_cols, "score_micro"]]
-        if docs.empty or sc.empty:
-            return empty
+    def attach(docs: pd.DataFrame, sc: pd.DataFrame) -> pd.DataFrame:
         m = docs.merge(sc, on=key_cols, how="inner")
         tf = m["tf"].to_numpy(dtype="int64")
         return pd.DataFrame(
@@ -199,28 +163,19 @@ def _doc_score_cogroup(
             }
         )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_part": pd.Series([], dtype="int64"),
-                    "sum_part": pd.Series([], dtype="int64"),
-                }
-            )
-        return df.groupby("doc_id", as_index=False).agg(
-            n_part=("n_part", "sum"), sum_part=("sum_part", "sum")
-        )
-
-    tagged = doc_terms.map_batches(tag_docs, batch_format="pandas").union(
-        scores.map_batches(tag_scores, batch_format="pandas")
+    partials = cogroup(
+        [
+            (
+                doc_terms,
+                key_cols,
+                pa.schema([("doc_id", pa.int64()), *terms, ("tf", pa.int64())]),
+            ),
+            (scores, key_cols, pa.schema([*terms, ("score_micro", pa.int64())])),
+        ],
+        attach,
+        npart,
     )
-    partials = tagged.repartition(npart, keys=key_cols).map_batches(
-        attach, batch_format="pandas", batch_size=None
-    )
-    return partials.repartition(npart, keys=["doc_id"]).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return hash_sum(partials, ["doc_id"], ["n_part", "sum_part"], npart)
 
 
 def lm_quality_score(
@@ -441,8 +396,6 @@ def lm_bigram_score(
 
     def cond_logp(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
-            import pyarrow as pa
-
             return pa.table(
                 {
                     "w1": pa.array([], type=pa.string()),
@@ -466,8 +419,6 @@ def lm_bigram_score(
     )
 
     def _empty_bigrams():
-        import pyarrow as pa
-
         return pa.table(
             {
                 "doc_id": pa.array([], type=pa.int64()),
@@ -525,8 +476,6 @@ def _doc_term_tf(batch: pd.DataFrame):
     """Per-(doc, term) term frequency; docs never span batches, so this
     is exact without any shuffle."""
     if batch.empty:
-        import pyarrow as pa
-
         return pa.table(
             {
                 "doc_id": pa.array([], type=pa.int64()),
@@ -568,8 +517,6 @@ def document_frequency(sf_dir: str) -> rd.Dataset:
 
 
 def _tfidf_empty():
-    import pyarrow as pa
-
     return pa.table(
         {
             "doc_id": pa.array([], type=pa.int64()),
@@ -633,64 +580,32 @@ def tfidf_top_terms(
             scorer, batch_format="pandas"
         )
 
-    # Distributed path: attach df via a term-keyed tagged-union cogroup,
-    # then rank inside a doc_id-keyed repartition.
+    # Distributed path: attach df via a term-keyed cogroup, then rank
+    # inside a doc_id-keyed repartition.
     npart = default_npart()
+    pairs = _tfidf_empty().drop_columns(["rank"])
 
-    def tag_tf(batch: pd.DataFrame):
-        tf = _doc_term_tf(batch)
-        if not isinstance(tf, pd.DataFrame) or tf.empty:
-            return pa_tagged_empty()
-        tf["df"] = np.full(len(tf), -1, dtype="int64")
-        return tf[["term", "doc_id", "tf", "df"]]
-
-    def tag_df(batch: pd.DataFrame):
-        if batch.empty:
-            return pa_tagged_empty()
-        return pd.DataFrame(
-            {
-                "term": batch["term"].to_numpy(),
-                "doc_id": np.full(len(batch), -1, dtype="int64"),
-                "tf": np.zeros(len(batch), dtype="int64"),
-                "df": batch["df"].to_numpy(dtype="int64"),
-            }
-        )
-
-    def pa_tagged_empty():
-        import pyarrow as pa
-
-        return pa.table(
-            {
-                "term": pa.array([], type=pa.string()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "tf": pa.array([], type=pa.int64()),
-                "df": pa.array([], type=pa.int64()),
-            }
-        )
-
-    def attach(df: pd.DataFrame):
-        if df.empty:
-            return pa_tagged_empty()
-        is_tf = df["df"].to_numpy() < 0
-        tf_rows = df.loc[is_tf, ["doc_id", "term", "tf"]]
-        df_rows = df.loc[~is_tf, ["term", "df"]]
-        if tf_rows.empty or df_rows.empty:
-            return pa_tagged_empty()
-        m = tf_rows.merge(df_rows, on="term", how="inner")
-        return m[["term", "doc_id", "tf", "df"]].reset_index(drop=True)
+    def attach(tf: pd.DataFrame, dfs: pd.DataFrame):
+        m = tf.merge(dfs, on="term", how="inner")
+        if m.empty:
+            return pairs
+        return m[pairs.column_names]
 
     def rank_block(df: pd.DataFrame):
         if df.empty:
             return _tfidf_empty()
         return _tfidf_rank(df[["doc_id", "term", "tf", "df"]].copy(), k)
 
-    tagged = (
-        read_documents(sf_dir, ["doc_id", "text"])
-        .map_batches(tag_tf, batch_format="pandas")
-        .union(df_ds.map_batches(tag_df, batch_format="pandas"))
+    tf_rows = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+        _doc_term_tf, batch_format="pandas"
     )
-    joined = tagged.repartition(npart, keys=["term"]).map_batches(
-        attach, batch_format="pandas", batch_size=None
+    joined = cogroup(
+        [
+            (tf_rows, ["term"], pairs.select(["doc_id", "term", "tf"]).schema),
+            (df_ds, ["term"], pairs.select(["term", "df"]).schema),
+        ],
+        attach,
+        npart,
     )
     return joined.repartition(npart, keys=["doc_id"]).map_batches(
         rank_block, batch_format="pandas", batch_size=None
@@ -885,15 +800,10 @@ def events_user_pivot(sf_dir: str) -> rd.Dataset:
         agg["sum_value_micro"] = ("value_micro", "sum")
         return df.groupby("user_id", as_index=False).agg(**agg)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("user_id", as_index=False)[vals].sum()
-
     ds = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
     ).map_batches(partial, batch_format="pandas")
-    return ds.repartition(8, keys=["user_id"]).map_batches(
-        merge, batch_format="pandas", batch_size=None
-    )
+    return hash_sum(ds, ["user_id"], vals, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,13 +1120,11 @@ def _cc_converge(
     return ("star", cur)
 
 
-_STAR_SCHEMA = {"node": "int64", "root": "int64"}
+_STAR_SCHEMA = pa.schema([("node", pa.int64()), ("root", pa.int64())])
 
 
 def _empty_star() -> pd.DataFrame:
-    return pd.DataFrame(
-        {c: pd.Series([], dtype=t) for c, t in _STAR_SCHEMA.items()}
-    )
+    return _STAR_SCHEMA.empty_table().to_pandas()
 
 
 def cc_star_map(
@@ -1254,17 +1162,8 @@ def cc_star_map(
         )
         return out.drop_duplicates(["node", "root"])
 
-    def min_root(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _empty_star()
-        return df.groupby("node", as_index=False)["root"].min()
-
     rows = payload.map_batches(star_rows, batch_format="pandas")
-    return (
-        rows.repartition(partitions, keys=["node"])
-        .map_batches(min_root, batch_format="pandas", batch_size=None)
-        .materialize()
-    )
+    return hash_sum(rows, ["node"], ["root"], partitions, agg="min").materialize()
 
 
 def connected_components(
@@ -1319,56 +1218,25 @@ def _relabel_cogroup(
     id_col: str,
     npart: int | None = None,
 ) -> rd.Dataset:
-    """Distributed relabel: tag ids (root = -1 sentinel) and star rows
-    into one UNION + a single id-keyed hash repartition; each co-located
-    block resolves its ids against its star rows vectorized. The
-    tagged-union-cogroup shape (not a native join) deliberately dodges
-    the Ray 2.49 sparse-side join crash (CLAUDE.md): the star side is
-    exactly the sparse shape — few dup-component rows over many blocks.
-    Node ids must be non-negative (doc_id/vec_id are)."""
+    """Distributed relabel: ids cogroup with star rows on the id
+    (`session.cogroup`, one id-keyed exchange); each co-located
+    partition resolves its ids against its star rows vectorized. Not a
+    native join: the star side is exactly the shape that crashes Ray
+    2.49's join (CLAUDE.md) — few dup-component rows over many
+    blocks."""
     from ocrs_ray.pipeline import default_npart
 
     if npart is None:
         npart = default_npart()
 
-    def tag_ids(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _empty_star().rename(columns={"node": id_col})
-        return pd.DataFrame(
-            {
-                id_col: df[id_col].to_numpy(dtype="int64"),
-                "root": np.full(len(df), -1, dtype="int64"),
-            }
-        )
-
-    def tag_star(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _empty_star().rename(columns={"node": id_col})
-        return pd.DataFrame(
-            {
-                id_col: df["node"].to_numpy(dtype="int64"),
-                "root": df["root"].to_numpy(dtype="int64"),
-            }
-        )
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series([], dtype="int64"),
-                    "cluster_id": pd.Series([], dtype="int64"),
-                }
-            )
-        keys = df[id_col].to_numpy(dtype="int64")
-        roots = df["root"].to_numpy(dtype="int64")
-        is_id = roots < 0
+    def resolve(id_rows: pd.DataFrame, stars: pd.DataFrame) -> pd.DataFrame:
         # Map each star row's key -> root via the sorted-probe kernel;
         # ids with no star row keep themselves.
-        s_keys = keys[~is_id]
-        s_roots = roots[~is_id]
+        s_keys = stars["node"].to_numpy(dtype="int64")
         order = np.argsort(s_keys, kind="stable")
-        s_keys, s_roots = s_keys[order], s_roots[order]
-        out_ids = keys[is_id]
+        s_keys = s_keys[order]
+        s_roots = stars["root"].to_numpy(dtype="int64")[order]
+        out_ids = id_rows[id_col].to_numpy(dtype="int64")
         out = out_ids.copy()
         if len(s_keys):
             pos = np.searchsorted(s_keys, out_ids)
@@ -1377,11 +1245,13 @@ def _relabel_cogroup(
             out[hit] = s_roots[pos[hit]]
         return pd.DataFrame({id_col: out_ids, "cluster_id": out})
 
-    tagged = ids.map_batches(tag_ids, batch_format="pandas").union(
-        star.map_batches(tag_star, batch_format="pandas")
-    )
-    return tagged.repartition(npart, keys=[id_col]).map_batches(
-        resolve, batch_format="pandas", batch_size=None
+    return cogroup(
+        [
+            (ids, [id_col], pa.schema([(id_col, pa.int64())])),
+            (star, ["node"], _STAR_SCHEMA),
+        ],
+        resolve,
+        npart,
     )
 
 
@@ -1402,7 +1272,7 @@ def _cluster_assign(
     on the star map (the autoBroadcastJoinThreshold move): under
     `broadcast_limit_bytes` it broadcasts once via ray.put into a
     vectorized searchsorted probe (no shuffle over the corpus); above
-    it, the relabel is a tagged-union cogroup — one id-keyed shuffle,
+    it, the relabel is a `session.cogroup` — one id-keyed shuffle,
     nothing dup-count-sized on the driver. Both paths are exact and
     test-pinned equal (broadcast_limit_bytes=0 forces the cogroup)."""
     star = cc_star_map(pairs)
@@ -1441,7 +1311,7 @@ def dedup_clusters(
 
     Edge generation and component contraction are distributed; the
     relabel pass over the full corpus picks its strategy from the
-    MEASURED star-map size (broadcast probe under the limit, tagged
+    MEASURED star-map size (broadcast probe under the limit,
     cogroup above — see `_cluster_assign`); singletons label themselves
     either way without an extra shuffle."""
     from .dedup import ngram_jaccard_pairs
@@ -1480,14 +1350,9 @@ def neardup_survivors(
     ).map_batches(roots, batch_format="pandas")
 
 
-def _member_schema() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "doc_id": pd.Series([], dtype="int64"),
-            "cluster_id": pd.Series([], dtype="int64"),
-            "win": pd.Series([], dtype="int64"),
-        }
-    )
+_MEMBER_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("cluster_id", pa.int64()), ("win", pa.int64())]
+)
 
 
 def _pick_winners(members: rd.Dataset, npart: int) -> rd.Dataset:
@@ -1496,7 +1361,7 @@ def _pick_winners(members: rd.Dataset, npart: int) -> rd.Dataset:
     via one root-keyed repartition + a per-block vectorized rank."""
     def rank(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
-            return _member_schema()
+            return _MEMBER_SCHEMA.empty_table()
         df = df.sort_values(
             ["root", "n_chars", "doc_id"], ascending=[True, False, True],
             kind="stable",
@@ -1535,7 +1400,7 @@ def neardup_best_survivors(
     streams through a vectorized broadcast filter; above it everything
     is cogroups — members resolve via a Bloom-pruned doc_id cogroup
     with the star map, winners rank per root-keyed block, and the
-    corpus labels through one id-keyed tagged-union shuffle. Both paths
+    corpus labels through one id-keyed cogroup. Both paths
     are exact and test-pinned equal (broadcast_limit_bytes=0 forces the
     distributed one)."""
     import pyarrow.dataset as pads
@@ -1638,86 +1503,27 @@ def neardup_best_survivors(
 
     # Cogroup candidate quality rows with star rows on doc_id: drops
     # Bloom false positives and attaches each member's root.
-    def tag_cand(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_chars": pd.Series([], dtype="int64"),
-                    "root": pd.Series([], dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(dtype="int64"),
-                "n_chars": df["n_chars"].to_numpy(dtype="int64"),
-                "root": np.full(len(df), -1, dtype="int64"),
-            }
-        )
+    def resolve_members(quals: pd.DataFrame, stars: pd.DataFrame) -> pd.DataFrame:
+        m = quals.merge(stars, left_on="doc_id", right_on="node", how="inner")
+        return m[["doc_id", "root", "n_chars"]]
 
-    def tag_star_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_chars": pd.Series([], dtype="int64"),
-                    "root": pd.Series([], dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "doc_id": df["node"].to_numpy(dtype="int64"),
-                "n_chars": np.full(len(df), -1, dtype="int64"),
-                "root": df["root"].to_numpy(dtype="int64"),
-            }
-        )
-
-    def resolve_members(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "root": pd.Series([], dtype="int64"),
-                    "n_chars": pd.Series([], dtype="int64"),
-                }
-            )
-        is_star = df["root"].to_numpy() >= 0
-        stars = df.loc[is_star, ["doc_id", "root"]]
-        quals = df.loc[~is_star, ["doc_id", "n_chars"]]
-        m = quals.merge(stars, on="doc_id", how="inner")
-        return m[["doc_id", "root", "n_chars"]].reset_index(drop=True)
-
-    tagged = cand.map_batches(tag_cand, batch_format="pandas").union(
-        star.map_batches(tag_star_rows, batch_format="pandas")
-    )
-    members = tagged.repartition(npart, keys=["doc_id"]).map_batches(
-        resolve_members, batch_format="pandas", batch_size=None
+    members = cogroup(
+        [
+            (
+                cand,
+                ["doc_id"],
+                pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())]),
+            ),
+            (star, ["node"], _STAR_SCHEMA),
+        ],
+        resolve_members,
+        npart,
     )
     winners = _pick_winners(members, npart)
 
-    # Label the corpus: one id-keyed tagged-union shuffle — winners keep
-    # their component root, losers drop, non-members keep themselves.
-    def tag_corpus(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _member_schema()
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(dtype="int64"),
-                "cluster_id": np.full(len(df), -1, dtype="int64"),
-                "win": np.full(len(df), -1, dtype="int64"),
-            }
-        )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "cluster_id": pd.Series([], dtype="int64"),
-                }
-            )
-        member = df.loc[df["win"] >= 0, ["doc_id", "cluster_id", "win"]]
-        corpus = df.loc[df["win"] < 0, ["doc_id"]]
+    # Label the corpus: one id-keyed cogroup — winners keep their
+    # component root, losers drop, non-members keep themselves.
+    def finish(corpus: pd.DataFrame, member: pd.DataFrame) -> pd.DataFrame:
         m = corpus.merge(member, on="doc_id", how="left")
         keep = m["win"].isna() | (m["win"] == 1)
         m = m.loc[keep]
@@ -1726,11 +1532,17 @@ def neardup_best_survivors(
         cluster = np.where(np.isnan(cluster), ids, cluster).astype("int64")
         return pd.DataFrame({"doc_id": ids, "cluster_id": cluster})
 
-    merged = read_documents(sf_dir, ["doc_id"]).map_batches(
-        tag_corpus, batch_format="pandas"
-    ).union(winners)
-    return merged.repartition(npart, keys=["doc_id"]).map_batches(
-        finish, batch_format="pandas", batch_size=None
+    return cogroup(
+        [
+            (
+                read_documents(sf_dir, ["doc_id"]),
+                ["doc_id"],
+                pa.schema([("doc_id", pa.int64())]),
+            ),
+            (winners, ["doc_id"], _MEMBER_SCHEMA),
+        ],
+        finish,
+        npart,
     )
 
 
@@ -1970,7 +1782,6 @@ def bm25_topk(
         # tokenizing every document. Lowercasing stays Python
         # str.lower() for parity with the Score pass (pc.utf8_lower is
         # SIMPLE case mapping and diverges on e.g. U+0130).
-        import pyarrow as pa
         import pyarrow.compute as pc
 
         lower = pa.array(
@@ -2183,8 +1994,6 @@ def source_distinct_shingles(
     n_buckets = 8 * npart
 
     def _empty_pairs():
-        import pyarrow as pa
-
         return pa.table(
             {
                 "source": pa.array([], type=pa.string()),
@@ -2200,7 +2009,6 @@ def source_distinct_shingles(
         # windows are ZERO-COPY slices of the flat token array joined
         # element-wise, masked where a window crosses a doc boundary
         # (token j and j+k-1 belong to different parent docs).
-        import pyarrow as pa
         import pyarrow.compute as pc
 
         if batch.num_rows == 0:
@@ -2249,8 +2057,6 @@ def source_distinct_shingles(
 
     def count_distinct(df: pd.DataFrame):
         if df.empty:
-            import pyarrow as pa
-
             return pa.table(
                 {
                     "source": pa.array([], type=pa.string()),

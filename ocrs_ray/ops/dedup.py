@@ -29,7 +29,8 @@ import ray
 import ray.data as rd
 
 from ..pipeline import worker_value
-from ..session import read_table
+from ..session import cogroup, read_table
+from .relational import hash_sum
 from .text import TOKEN_CLASS_RE, read_documents
 
 __all__ = [
@@ -613,7 +614,7 @@ def _expand_rep_pairs(
     size>=2 exact-dup groups, and each such doc appears in at least one
     OUTPUT pair of this very op, so the broadcast side is never larger
     than the op's own result — under `broadcast_limit_bytes` it ships
-    once via ray.put; above it, two tagged-union cogroup passes attach
+    once via ray.put; above it, two `session.cogroup` passes attach
     each side's member list with one keyed exchange per side (pin both
     paths equal with broadcast_limit_bytes=0)."""
     def empty_out() -> pd.DataFrame:
@@ -666,53 +667,27 @@ def _expand_rep_pairs(
 
         return pairs.map_batches(expand_broadcast, batch_format="pandas")
 
-    # Distributed path: one cogroup pass per side. Tag membership rows
-    # and pair rows, union, repartition on the side's rep key (one
-    # block per partition), then per block attach that side's member
-    # list vectorized.
+    # Distributed path: one cogroup pass per side. Membership rows and
+    # pair rows co-locate on the side's rep key, then each partition
+    # attaches that side's member list vectorized.
+    members = pa.schema([("rep_id", pa.int64()), ("doc_id", pa.int64())])
+    pair_schema = pa.schema(
+        [("doc_a", pa.int64()), ("doc_b", pa.int64())]
+        + [(name, pa.float64()) for name in extra_cols]
+    )
+
     def one_side(ds: rd.Dataset, side: str) -> rd.Dataset:
         other = "doc_b" if side == "doc_a" else "doc_a"
 
-        def tag_members(df: pd.DataFrame) -> pd.DataFrame:
-            cols = {
-                "k": df["rep_id"].to_numpy(),
-                "member": df["doc_id"].to_numpy(),
-                "is_m": np.ones(len(df), dtype=np.int8),
-                other: np.zeros(len(df), dtype=np.int64),
-            }
-            for name in extra_cols:
-                cols[name] = np.zeros(len(df), dtype=np.float64)
-            return pd.DataFrame(cols)
-
-        def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-            cols = {
-                "k": df[side].to_numpy(),
-                "member": np.zeros(len(df), dtype=np.int64),
-                "is_m": np.zeros(len(df), dtype=np.int8),
-                other: df[other].to_numpy(),
-            }
-            for name in extra_cols:
-                cols[name] = df[name].to_numpy().astype(np.float64)
-            return pd.DataFrame(cols)
-
-        def resolve(df: pd.DataFrame) -> pd.DataFrame:
-            cols = {
-                side: pd.Series([], dtype="int64"),
-                other: pd.Series([], dtype="int64"),
-            }
-            for name in extra_cols:
-                cols[name] = pd.Series([], dtype="float64")
-            if df.empty:
-                return pd.DataFrame(cols)
-            m = df[df["is_m"] == 1]
-            p = df[df["is_m"] == 0]
+        def resolve(m: pd.DataFrame, p: pd.DataFrame) -> pd.DataFrame:
             if p.empty:
-                return pd.DataFrame(cols)
+                empty = pair_schema.empty_table().to_pandas()
+                return empty[[side, other, *extra_cols]]
             groups: dict[int, np.ndarray] = {}
             if len(m):
-                ms = m.sort_values("k", kind="stable")
-                kk = ms["k"].to_numpy()
-                mm = ms["member"].to_numpy()
+                ms = m.sort_values("rep_id", kind="stable")
+                kk = ms["rep_id"].to_numpy()
+                mm = ms["doc_id"].to_numpy()
                 cuts = np.flatnonzero(kk[1:] != kk[:-1]) + 1
                 for key, arr in zip(
                     kk[np.concatenate([[0], cuts])],
@@ -721,7 +696,7 @@ def _expand_rep_pairs(
                     groups[int(key)] = arr
             mem = [
                 groups.get(int(k), np.asarray([int(k)], dtype=np.int64))
-                for k in p["k"]
+                for k in p[side]
             ]
             reps = np.array([len(x) for x in mem])
             out = pd.DataFrame(
@@ -734,11 +709,10 @@ def _expand_rep_pairs(
                 out[name] = np.repeat(p[name].to_numpy(), reps)
             return out
 
-        tagged_m = membership.map_batches(tag_members, batch_format="pandas")
-        tagged_p = ds.map_batches(tag_pairs, batch_format="pandas")
-        u = tagged_m.union(tagged_p)
-        return u.repartition(npart, keys=["k"]).map_batches(
-            resolve, batch_format="pandas", batch_size=None
+        return cogroup(
+            [(membership, ["rep_id"], members), (ds, [side], pair_schema)],
+            resolve,
+            npart,
         )
 
     return one_side(one_side(pairs, "doc_a"), "doc_b").map_batches(
@@ -1230,8 +1204,8 @@ def dup_gram_doc_fraction(sf_dir: str, n: int = 5) -> rd.Dataset:
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
+    def ppm(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
             return pd.DataFrame(
                 {
                     "doc_id": pd.Series([], dtype="int64"),
@@ -1240,9 +1214,6 @@ def dup_gram_doc_fraction(sf_dir: str, n: int = 5) -> rd.Dataset:
                     "dup_ppm": pd.Series([], dtype="int64"),
                 }
             )
-        g = df.groupby("doc_id", as_index=False).agg(
-            n_dup=("n_dup", "sum"), n_grams=("n_grams", "sum")
-        )
         ng = g["n_grams"].to_numpy()
         nd = g["n_dup"].to_numpy()
         ppm = np.where(ng > 0, (1_000_000 * nd) // np.maximum(ng, 1), 0)
@@ -1262,8 +1233,8 @@ def dup_gram_doc_fraction(sf_dir: str, n: int = 5) -> rd.Dataset:
     )
     total_rows = docs.map_batches(totals, batch_format="pyarrow")
     merged = dup_partials.union(total_rows)
-    return merged.repartition(npart, keys=["doc_id"]).map_batches(
-        combine, batch_format="pandas", batch_size=None
+    return hash_sum(merged, ["doc_id"], ["n_dup", "n_grams"], npart).map_batches(
+        ppm, batch_format="pandas", batch_size=None
     )
 
 
@@ -1355,9 +1326,9 @@ def docs_snapshot_diff(sf_dir: str) -> rd.Dataset:
     status in {added, removed, changed}; unchanged docs are filtered
     out, so output is proportional to churn, not corpus size.
 
-    Scale shape: both snapshots stream as tagged (doc_id, side,
-    content-md5) rows into a UNION + one doc_id hash repartition; each
-    block classifies its co-located id groups vectorized — no native
+    Scale shape: both snapshots stream as (doc_id, content-md5) rows
+    into one doc_id-keyed `session.cogroup`; each partition classifies
+    its co-located ids vectorized — no native
     full-outer join (and none of its sparse-side hazards), and text
     never shuffles, only 16-byte digests. In production B would be a
     second table/scan; here it derives from A so the oracle is closed
@@ -1371,7 +1342,6 @@ def docs_snapshot_diff(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].to_numpy(),
-                "side": np.zeros(len(batch), dtype="int64"),
                 "h": [
                     hashlib.md5(t.encode("utf-8")).hexdigest()
                     for t in batch["text"]
@@ -1396,42 +1366,28 @@ def docs_snapshot_diff(sf_dir: str) -> rd.Dataset:
         out_h += [
             hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts[new_mask]
         ]
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(out_ids, dtype="int64"),
-                "side": np.ones(len(out_ids), dtype="int64"),
-                "h": out_h,
-            }
-        )
+        return pd.DataFrame({"doc_id": pd.Series(out_ids, dtype="int64"), "h": out_h})
 
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "status": pd.Series([], dtype="object"),
-            }
-        )
-        if df.empty:
-            return empty
-        g = df.pivot_table(
-            index="doc_id", columns="side", values="h", aggfunc="first"
-        )
-        a = g[0] if 0 in g.columns else pd.Series(index=g.index, dtype="object")
-        b = g[1] if 1 in g.columns else pd.Series(index=g.index, dtype="object")
+    def classify(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+        g = a.merge(b, on="doc_id", how="outer", suffixes=("_a", "_b"))
+        ha, hb = g["h_a"], g["h_b"]
         status = np.where(
-            b.isna(),
+            hb.isna(),
             "removed",
-            np.where(a.isna(), "added", np.where(a != b, "changed", "unchanged")),
+            np.where(ha.isna(), "added", np.where(ha != hb, "changed", "unchanged")),
         )
-        out = pd.DataFrame({"doc_id": g.index.to_numpy(), "status": status})
+        out = pd.DataFrame({"doc_id": g["doc_id"].to_numpy(), "status": status})
         return out[out["status"] != "unchanged"].reset_index(drop=True)
 
     docs = read_documents(sf_dir, ["doc_id", "text"])
-    tagged = docs.map_batches(side_a, batch_format="pandas").union(
-        docs.map_batches(side_b, batch_format="pandas")
-    )
-    return tagged.repartition(npart, keys=["doc_id"]).map_batches(
-        classify, batch_format="pandas", batch_size=None
+    digests = pa.schema([("doc_id", pa.int64()), ("h", pa.string())])
+    return cogroup(
+        [
+            (docs.map_batches(side_a, batch_format="pandas"), ["doc_id"], digests),
+            (docs.map_batches(side_b, batch_format="pandas"), ["doc_id"], digests),
+        ],
+        classify,
+        npart,
     )
 
 
@@ -1454,7 +1410,7 @@ def snapshot_new_texts(
     2. a Bloom over B's digests PRUNES A: only A rows whose digest
        might collide with B enter the verify shuffle.
 
-    The exact verify is one digest-keyed tagged-union cogroup over the
+    The exact verify is one digest-keyed `session.cogroup` over the
     two pruned sides, so shuffle volume is O(|A ∩ B| + fp), not
     O(|A| + |B|). Costs three streaming passes over B (Bloom build,
     miss route, hit route) — each a pushdown 2-column read + md5,
@@ -1544,18 +1500,6 @@ def snapshot_new_texts(
         build_bloom(docs.map_batches(b_rows, batch_format="pandas"), "h64", n_bits)
     )
 
-    def _empty_tagged() -> pa.Table:
-        # No h64: the Bloom probes are done by this point and the
-        # verify keys on h alone — don't pay 8 B/row of shuffle.
-        return pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "status": pa.array([], type=pa.string()),
-                "h": pa.array([], type=pa.string()),
-                "side": pa.array([], type=pa.int64()),
-            }
-        )
-
     # Bloom probes run as STATELESS task UDFs like every ops stage,
     # reading the broadcast filter once per worker process.
     def _route_b(df: pd.DataFrame, ref=None, keep_hits=True):
@@ -1575,71 +1519,35 @@ def snapshot_new_texts(
         .select_columns(["doc_id", "status"])
     )
 
-    def tag_b(df: pd.DataFrame):
-        if df.empty:
-            return _empty_tagged()
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(dtype="int64"),
-                "status": df["status"].to_numpy(),
-                "h": df["h"].to_numpy(),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
+    def _prune_a(t: pa.Table, ref=None) -> pa.Table:
+        """Keep A digests that might collide with B."""
+        return t.filter(worker_value(ref).contains(t.column("h64").to_numpy()))
 
-    def _prune_tag_a(df: pd.DataFrame, ref=None):
-        """Keep A digests that might collide with B, tagged side=0."""
-        if df.empty:
-            return _empty_tagged()
-        keep = df.loc[worker_value(ref).contains(df["h64"].to_numpy())]
-        if keep.empty:
-            return _empty_tagged()
-        return pd.DataFrame(
-            {
-                "doc_id": np.full(len(keep), -1, dtype="int64"),
-                "status": [""] * len(keep),
-                "h": keep["h"].to_numpy(),
-                "side": np.zeros(len(keep), dtype="int64"),
-            }
-        )
-
-    b_cand = (
-        docs.map_batches(b_rows, batch_format="pandas")
-        .map_batches(
-            _route_b,
-            fn_kwargs={"ref": bloom_a_ref, "keep_hits": True},
-            batch_format="pandas",
-        )
-        .map_batches(tag_b, batch_format="pandas")
+    b_cand = docs.map_batches(b_rows, batch_format="pandas").map_batches(
+        _route_b,
+        fn_kwargs={"ref": bloom_a_ref, "keep_hits": True},
+        batch_format="pandas",
     )
     a_pruned = docs.map_batches(a_sigs, batch_format="pandas").map_batches(
-        _prune_tag_a, fn_kwargs={"ref": bloom_b_ref}, batch_format="pandas"
+        _prune_a, fn_kwargs={"ref": bloom_b_ref}, batch_format="pyarrow"
     )
+    new_rows = _empty_b().select(["doc_id", "status"])
 
-    def anti(df: pd.DataFrame):
-        if df.empty:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "status": pa.array([], type=pa.string()),
-                }
-            )
-        seen = set(df.loc[df["side"] == 0, "h"])
-        keep = df.loc[
-            (df["side"] == 1) & ~df["h"].isin(seen), ["doc_id", "status"]
-        ]
+    def anti(b: pd.DataFrame, a: pd.DataFrame):
+        keep = b.loc[~b["h"].isin(set(a["h"])), ["doc_id", "status"]]
         if keep.empty:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "status": pa.array([], type=pa.string()),
-                }
-            )
+            return new_rows
         return keep.reset_index(drop=True)
 
-    merged = b_cand.union(a_pruned)
-    verified_new = merged.repartition(npart, keys=["h"]).map_batches(
-        anti, batch_format="pandas", batch_size=None
+    # The verify keys on h alone (no h64: the Bloom probes are done by
+    # this point — don't pay 8 B/row of shuffle).
+    verified_new = cogroup(
+        [
+            (b_cand, ["h"], _empty_b().select(["h", "doc_id", "status"]).schema),
+            (a_pruned, ["h"], pa.schema([("h", pa.string())])),
+        ],
+        anti,
+        npart,
     )
     return definitely_new.union(verified_new)
 

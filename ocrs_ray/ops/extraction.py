@@ -41,6 +41,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..session import read_table
+from .relational import _merge_sums, hash_sum
 from .text import read_documents
 
 # --------------------------------------------------------------------
@@ -2708,6 +2709,10 @@ def _doc_ref_edges(sf_dir: str, with_anchor: bool = False) -> rd.Dataset:
     return links.map_batches(parse, batch_format="pyarrow")
 
 
+#: The per-document degree columns `docs_link_degree` sums.
+_DEGREES = ["out_degree", "in_degree", "reciprocal_degree"]
+
+
 def _degree_empty() -> "object":
     import pandas as pd
 
@@ -2813,11 +2818,9 @@ def _degree_zero_rows(df) -> "object":
 
 
 def _degree_final_sum(df) -> "object":
-    if df.empty:
-        return _degree_empty()
-    return df.groupby("doc_id", as_index=False)[
-        ["out_degree", "in_degree", "reciprocal_degree"]
-    ].sum()
+    """The per-partition merge `docs_link_degree`'s `hash_sum` runs (its
+    combiner stack is property-tested against brute force)."""
+    return _merge_sums(df, ["doc_id"], _DEGREES)
 
 
 def docs_link_degree(sf_dir: str, npart: int | None = None) -> rd.Dataset:
@@ -2852,10 +2855,7 @@ def docs_link_degree(sf_dir: str, npart: int | None = None) -> rd.Dataset:
     zeros = read_documents(sf_dir, ["doc_id"]).map_batches(
         _degree_zero_rows, batch_format="pandas"
     )
-    unioned = partials.union(zeros)
-    return unioned.repartition(npart, keys=["doc_id"]).map_batches(
-        _degree_final_sum, batch_format="pandas", batch_size=None
-    )
+    return hash_sum(partials.union(zeros), ["doc_id"], _DEGREES, npart)
 
 
 def link_degree_sql() -> str:

@@ -30,7 +30,7 @@ import ray.data as rd
 
 from ..pipeline import decode_media, worker_value
 from ..resize import resize_bilinear
-from ..session import read_table, source
+from ..session import cogroup, read_table, source
 
 __all__ = [
     "read_media",
@@ -663,11 +663,14 @@ def media_ahash_neardup(media_path: str, max_hamming: int = 2) -> rd.Dataset:
     )
 
 
+_REFS = pa.schema([("media_ref", pa.string())])
+
+
 def _empty_refs() -> pa.Table:
     """Typed Arrow empty for the single-column media_ref result shape —
     zero-row object-dtype pandas columns trip Ray's size estimator (see
-    the q20 decorate note in tpch.py)."""
-    return pa.table({"media_ref": pa.array([], type=pa.string())})
+    CLAUDE.md)."""
+    return _REFS.empty_table()
 
 
 def _empty_pairs() -> pa.Table:
@@ -702,8 +705,8 @@ def media_ahash_survivors(
     against the broadcast loser set; above it nothing ref-count-sized
     touches the driver — refs hash-encode to 63-bit ints task-side
     (collision-checked via distinct counts), CC runs on the hashes, the
-    lex-min keeper per component resolves via a root-keyed cogroup, and
-    the corpus filters through a ref-keyed tagged union against the
+    lex-min keeper per component resolves via a root-keyed exchange, and
+    the corpus filters through a ref-keyed `session.cogroup` with the
     loser rows. Both paths are exact and test-pinned equal
     (broadcast_limit_bytes=0 forces the distributed one)."""
     import hashlib
@@ -715,7 +718,7 @@ def media_ahash_survivors(
 
     from ocrs_ray.pipeline import default_npart
 
-    from .analytics import cc_star_map, connected_components
+    from .analytics import _STAR_SCHEMA, cc_star_map, connected_components
 
     npart = default_npart()
     pairs = media_ahash_neardup(media_path, max_hamming=max_hamming)
@@ -826,70 +829,25 @@ def media_ahash_survivors(
 
     # Attach each member's component root: cogroup (h, r) with the star
     # map on h (every paired ref is incident to an edge, so inner).
-    def tag_href(df: pd.DataFrame):
-        if df.empty:
-            return pa.table(
-                {
-                    "h": pa.array([], type=pa.int64()),
-                    "r": pa.array([], type=pa.string()),
-                    "root": pa.array([], type=pa.int64()),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "h": df["h"].to_numpy(dtype="int64"),
-                "r": df["r"].to_numpy(),
-                "root": np.full(len(df), -1, dtype="int64"),
-            }
-        )
+    members_schema = pa.schema([("r", pa.string()), ("root", pa.int64())])
 
-    def tag_star(df: pd.DataFrame):
-        if df.empty:
-            return pa.table(
-                {
-                    "h": pa.array([], type=pa.int64()),
-                    "r": pa.array([], type=pa.string()),
-                    "root": pa.array([], type=pa.int64()),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "h": df["node"].to_numpy(dtype="int64"),
-                "r": pd.Series([""] * len(df), dtype="object"),
-                "root": df["root"].to_numpy(dtype="int64"),
-            }
-        )
-
-    def resolve(df: pd.DataFrame):
-        if df.empty:
-            return pa.table(
-                {
-                    "r": pa.array([], type=pa.string()),
-                    "root": pa.array([], type=pa.int64()),
-                }
-            )
-        is_star = df["root"].to_numpy() >= 0
-        m = df.loc[~is_star, ["h", "r"]].merge(
-            df.loc[is_star, ["h", "root"]], on="h", how="inner"
-        )
+    def resolve(hrefs: pd.DataFrame, stars: pd.DataFrame):
+        m = hrefs.merge(stars, left_on="h", right_on="node", how="inner")
         if m.empty:
-            return pa.table(
-                {
-                    "r": pa.array([], type=pa.string()),
-                    "root": pa.array([], type=pa.int64()),
-                }
-            )
-        return m[["r", "root"]].reset_index(drop=True)
+            return members_schema.empty_table()
+        return m[members_schema.names]
 
-    tagged = hashed_refs.map_batches(tag_href, batch_format="pandas").union(
-        star.map_batches(tag_star, batch_format="pandas")
-    )
-    members = tagged.repartition(npart, keys=["h"]).map_batches(
-        resolve, batch_format="pandas", batch_size=None
+    members = cogroup(
+        [
+            (hashed_refs, ["h"], pa.schema([("h", pa.int64()), ("r", pa.string())])),
+            (star, ["node"], _STAR_SCHEMA),
+        ],
+        resolve,
+        npart,
     )
 
     # Losers: members that are not the lex-min ref of their component
-    # (one root-keyed cogroup, vectorized min-rank per block).
+    # (one root-keyed repartition, vectorized min-rank per block).
     def losers(df: pd.DataFrame):
         if df.empty:
             return _empty_refs()
@@ -904,57 +862,22 @@ def media_ahash_survivors(
         losers, batch_format="pandas", batch_size=None
     )
 
-    # Survivors: corpus refs minus losers via a ref-keyed tagged union
-    # (the sparse loser side cogroups instead of native-joining).
-    def tag_corpus(df: pd.DataFrame):
-        if df.empty:
-            # Typed Arrow empty — zero-row object-dtype pandas columns
-            # break Ray's block size estimator (see CLAUDE.md).
-            return pa.table(
-                {
-                    "media_ref": pa.array([], type=pa.string()),
-                    "lose": pa.array([], type=pa.int64()),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "media_ref": df["media_ref"].to_numpy(),
-                "lose": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def tag_losers(df: pd.DataFrame):
-        if df.empty:
-            return pa.table(
-                {
-                    "media_ref": pa.array([], type=pa.string()),
-                    "lose": pa.array([], type=pa.int64()),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "media_ref": df["media_ref"].to_numpy(),
-                "lose": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def keep(df: pd.DataFrame):
-        if df.empty:
-            return _empty_refs()
-        dropped = set(df.loc[df["lose"] == 1, "media_ref"])
-        corpus = df.loc[df["lose"] == 0, "media_ref"]
-        kept = corpus[~corpus.isin(dropped)].to_numpy()
+    # Survivors: corpus refs minus losers via a ref-keyed cogroup (the
+    # sparse loser side cogroups instead of native-joining).
+    def keep(corpus: pd.DataFrame, lost: pd.DataFrame):
+        refs = corpus["media_ref"]
+        kept = refs[~refs.isin(set(lost["media_ref"]))].to_numpy()
         if len(kept) == 0:
             return _empty_refs()
         return pd.DataFrame({"media_ref": kept})
 
-    merged = (
-        read_table(media_path, columns=["media_ref"])
-        .map_batches(tag_corpus, batch_format="pandas")
-        .union(loser_ds.map_batches(tag_losers, batch_format="pandas"))
-    )
-    return merged.repartition(npart, keys=["media_ref"]).map_batches(
-        keep, batch_format="pandas", batch_size=None
+    return cogroup(
+        [
+            (read_table(media_path, columns=["media_ref"]), ["media_ref"], _REFS),
+            (loser_ds, ["media_ref"], _REFS),
+        ],
+        keep,
+        npart,
     )
 
 

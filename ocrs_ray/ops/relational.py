@@ -79,6 +79,8 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
 def _merge_sums(
     df: pd.DataFrame, keys: list[str], vals: list[str], agg: str = "sum"
 ) -> pd.DataFrame:
+    if df.empty:  # an empty partition can arrive without columns
+        return df
     return df.groupby(keys, as_index=False)[vals].agg(agg)
 
 
@@ -95,7 +97,7 @@ def tree_sum(
     distinct-key space fits in one worker's heap — true for token
     vocabularies (bounded ~1e6) and calendar-bounded window keys even at
     100 TB corpus scale. Unbounded key spaces (user ids, doc ids) must
-    use groupby instead. `agg` is any associative+commutative pandas
+    use `hash_sum` instead. `agg` is any associative+commutative pandas
     reduction ("sum", "max", "min").
     """
     kw = {"keys": list(keys), "vals": list(vals), "agg": agg}
@@ -103,6 +105,25 @@ def tree_sum(
         _merge_sums, fn_kwargs=kw, batch_format="pandas", batch_size=None
     )
     return merged.repartition(1).map_batches(
+        _merge_sums, fn_kwargs=kw, batch_format="pandas", batch_size=None
+    )
+
+
+def hash_sum(
+    ds: rd.Dataset,
+    keys: list[str],
+    vals: list[str],
+    npart: int,
+    agg: str = "sum",
+) -> rd.Dataset:
+    """Per-key `agg` of partial rows through ONE keyed exchange:
+    `repartition(npart, keys)` puts every partial of a key in one
+    partition (one block per partition on Ray 2.49), and a per-partition
+    merge finishes it. The unbounded-key counterpart of `tree_sum` (user,
+    order, doc ids); `agg` is any associative+commutative pandas
+    reduction ("sum", "max", "min")."""
+    kw = {"keys": list(keys), "vals": list(vals), "agg": agg}
+    return ds.repartition(npart, keys=list(keys)).map_batches(
         _merge_sums, fn_kwargs=kw, batch_format="pandas", batch_size=None
     )
 
@@ -569,9 +590,6 @@ def customer_order_counts(
         out.columns = ["c_custkey", "c_count"]
         return out
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("c_custkey", as_index=False)["c_count"].sum()
-
     def histogram(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby("c_count", as_index=False).size()
         out.columns = ["c_count", "custdist"]
@@ -584,14 +602,11 @@ def customer_order_counts(
             df = pd.concat([df, zero], ignore_index=True)
         return df.astype({"c_count": "int64", "custdist": "int64"})
 
-    counts = (
-        read_table(
-            f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
-        )
-        .map_batches(partial, batch_format="pandas")
-        .repartition(npart, keys=["c_custkey"])
-        .map_batches(merge, batch_format="pandas", batch_size=None)
-        .map_batches(histogram, batch_format="pandas", batch_size=None)
+    partials = read_table(
+        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
+    ).map_batches(partial, batch_format="pandas")
+    counts = hash_sum(partials, ["c_custkey"], ["c_count"], npart).map_batches(
+        histogram, batch_format="pandas", batch_size=None
     )
     merged = tree_sum(counts, ["c_count"], ["custdist"])
     return merged.map_batches(
@@ -689,17 +704,10 @@ def late_shipment_orders(
         out = batch.groupby("l_orderkey", as_index=False)["l_shipdate"].max()
         return out.rename(columns={"l_shipdate": "max_ship"})
 
-    def max_combine(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            return batch
-        return batch.groupby("l_orderkey", as_index=False)["max_ship"].max()
-
     li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
     ).map_batches(max_partial, batch_format="pandas")
-    maxes = li.repartition(npart, keys=["l_orderkey"]).map_batches(
-        max_combine, batch_format="pandas", batch_size=None
-    )
+    maxes = hash_sum(li, ["l_orderkey"], ["max_ship"], npart, agg="max")
 
     orders = read_table(
         f"{sf_dir}/orders.parquet",
@@ -756,16 +764,13 @@ def part_small_quantity_revenue(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby("l_partkey", as_index=False).sum()
 
-    def stats_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("l_partkey", as_index=False)[["sum_qty", "n"]].sum()
-
-    stats = (
+    stats = hash_sum(
         read_table(
             f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"]
-        )
-        .map_batches(stats_partial, batch_format="pandas")
-        .repartition(npart, keys=["l_partkey"])
-        .map_batches(stats_merge, batch_format="pandas", batch_size=None)
+        ).map_batches(stats_partial, batch_format="pandas"),
+        ["l_partkey"],
+        ["sum_qty", "n"],
+        npart,
     )
 
     # Probe side collapses to per-(partkey, quantity) buckets before the
@@ -1833,16 +1838,13 @@ def segment_top_spender(sf_dir: str) -> rd.Dataset:
         )
         return df.groupby("o_custkey", as_index=False)["spend_micro"].sum()
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_custkey", as_index=False)["spend_micro"].sum()
-
-    spend = (
+    spend = hash_sum(
         read_table(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-        )
-        .map_batches(spend_partial, batch_format="pandas")
-        .repartition(npart, keys=["o_custkey"])
-        .map_batches(merge, batch_format="pandas", batch_size=None)
+        ).map_batches(spend_partial, batch_format="pandas"),
+        ["o_custkey"],
+        ["spend_micro"],
+        npart,
     )
 
     customer = read_table(
@@ -2217,18 +2219,17 @@ def user_click_purchase_full_outer(sf_dir: str) -> rd.Dataset:
     side.
 
     Scale shape: each side collapses to exact per-user counts BEFORE
-    the join (per-batch partials + keyed repartition + per-block
-    merge — user_id is unbounded so tree_sum would not hold), so the
-    full-outer shuffle moves one row per user per side, never raw
-    events. Ray's full_outer coalesces the key itself (left name, no
+    the join (per-batch partials + `hash_sum` — user_id is unbounded
+    so tree_sum would not hold), so the full-outer shuffle moves one
+    row per user per side, never raw events. Ray's full_outer coalesces the key itself (left name, no
     nulls) and emits NaN for the absent side's payload; the post-join
     projection restores int64 zeros.
 
-    Shuffle note: a tagged union + ONE keyed repartition + per-block
-    pivot computes the same table with one shuffle instead of three
+    Shuffle note: one `session.cogroup` of the two event sides
+    computes the same table with one shuffle instead of three
     (two side merges + the join's own exchange) — this op
     deliberately keeps the native full_outer join to exercise and pin
-    that code path; prefer the union shape when the join type itself
+    that code path; prefer the cogroup when the join type itself
     is not required.
     """
     import pyarrow.dataset as pads
@@ -2247,19 +2248,12 @@ def user_click_purchase_full_outer(sf_dir: str) -> rd.Dataset:
             )
             return df.groupby("user_id", as_index=False)[out_col].sum()
 
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            return df.groupby("user_id", as_index=False)[out_col].sum()
-
-        return (
-            read_table(
-                f"{sf_dir}/events.parquet",
-                columns=["user_id", "event_type"],
-                filter=(pads.field("event_type") == event_type),
-            )
-            .map_batches(partial, batch_format="pandas")
-            .repartition(npart, keys=["user_id"])
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-        )
+        partials = read_table(
+            f"{sf_dir}/events.parquet",
+            columns=["user_id", "event_type"],
+            filter=(pads.field("event_type") == event_type),
+        ).map_batches(partial, batch_format="pandas")
+        return hash_sum(partials, ["user_id"], [out_col], npart)
 
     clicks = side("click", "n_clicks")
     purchases = side("purchase", "n_purchases")

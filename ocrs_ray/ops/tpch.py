@@ -33,7 +33,7 @@ Each op demonstrates one distinct physical shape at 100 TB scale:
   floor-division rewrite; the scalar closes over the chain).
 - Q20 — nested EXISTS-over-aggregate: semi-join type filter, two-level
   (supplier, part) aggregate, threshold EXISTS, sparse winner
-  decoration via tagged union instead of a native join.
+  decoration via `session.cogroup` instead of a native join.
 
 Reference parity note: the ocrs reference has no relational engine —
 these extend the engine's query surface for training-data pipelines
@@ -51,12 +51,13 @@ import datetime as _dt
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data as rd
 
 from ..pipeline import worker_value
-from ..session import read_table
-from .relational import MICRO, round_half_away, tree_sum
+from ..session import cogroup, read_table
+from .relational import MICRO, hash_sum, round_half_away, tree_sum
 
 __all__ = [
     "q6_forecast_revenue",
@@ -848,12 +849,7 @@ def q21_sole_returned_supplier(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def supp_merge(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return df
-        return df.groupby("l_suppkey", as_index=False)["numwait"].sum()
-
-    counts = (
+    per_order = (
         read_table(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_orderkey", "l_suppkey", "l_returnflag"],
@@ -861,9 +857,8 @@ def q21_sole_returned_supplier(sf_dir: str) -> rd.Dataset:
         .map_batches(pair_partial, batch_format="pandas")
         .repartition(npart, keys=["l_orderkey"])
         .map_batches(order_filter, batch_format="pandas", batch_size=None)
-        .repartition(npart, keys=["l_suppkey"])
-        .map_batches(supp_merge, batch_format="pandas", batch_size=None)
     )
+    counts = hash_sum(per_order, ["l_suppkey"], ["numwait"], npart)
 
     supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
     name_ref = ray.put(
@@ -1062,26 +1057,21 @@ def q15_top_supplier(
         )
         return df.groupby("s_suppkey", as_index=False).sum()
 
-    def rev_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("s_suppkey", as_index=False)["total_revenue_micro"].sum()
-
     def local_winners(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return df
         return df[df["total_revenue_micro"] == df["total_revenue_micro"].max()]
 
+    partials = read_table(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        filter=(
+            (pads.field("l_shipdate") >= _ts(date_from))
+            & (pads.field("l_shipdate") < _ts(date_to))
+        ),
+    ).map_batches(rev_partial, batch_format="pandas")
     rev = (
-        read_table(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-            filter=(
-                (pads.field("l_shipdate") >= _ts(date_from))
-                & (pads.field("l_shipdate") < _ts(date_to))
-            ),
-        )
-        .map_batches(rev_partial, batch_format="pandas")
-        .repartition(npart, keys=["s_suppkey"])
-        .map_batches(rev_merge, batch_format="pandas", batch_size=None)
+        hash_sum(partials, ["s_suppkey"], ["total_revenue_micro"], npart)
         .map_batches(local_winners, batch_format="pandas", batch_size=None)
         .repartition(1)
         .map_batches(local_winners, batch_format="pandas", batch_size=None)
@@ -1359,7 +1349,7 @@ def q20_heavy_shippers(
     the same co-located block (suppkey is in the partition key's
     prefix... partition key is the pair, so a second tiny repartition
     on suppkey finishes the count). Supplier names decorate the small
-    winner set via one more native join.
+    winner set via one keyed cogroup.
     """
     import pyarrow.dataset as pads
 
@@ -1415,91 +1405,35 @@ def q20_heavy_shippers(
         return out.astype({"n_heavy_parts": "int64"})
 
     pairs = typed.map_batches(pair_partial, batch_format="pandas")
-    supp_counts = (
-        pairs.repartition(npart, keys=["l_suppkey", "l_partkey"])
-        .map_batches(pair_threshold, batch_format="pandas", batch_size=None)
-        .repartition(npart, keys=["l_suppkey"])
-        .map_batches(
-            lambda df: df.groupby("l_suppkey", as_index=False)[
-                "n_heavy_parts"
-            ].sum()
-            if not df.empty
-            else df,
-            batch_format="pandas",
-            batch_size=None,
-        )
+    heavy = pairs.repartition(npart, keys=["l_suppkey", "l_partkey"]).map_batches(
+        pair_threshold, batch_format="pandas", batch_size=None
     )
+    supp_counts = hash_sum(heavy, ["l_suppkey"], ["n_heavy_parts"], npart)
 
-    # Name decoration via a tagged union + one keyed repartition: the
-    # winner set is sparse (few rows over many blocks), exactly the
-    # shape that crashes Ray 2.49's native join (CLAUDE.md); the union
-    # streams both sides and each co-located block pairs name and
-    # count vectorized.
-    def _tagged_empty():
-        # Typed Arrow empty — see decorate() below for why zero-row
-        # object-dtype pandas columns must never leave a stage.
-        import pyarrow as pa
-
-        return pa.table(
-            {
-                "s_suppkey": pa.array([], type=pa.int64()),
-                "n_heavy_parts": pa.array([], type=pa.int64()),
-                "s_name": pa.array([], type=pa.string()),
-            }
-        )
-
-    def tag_counts(df: pd.DataFrame):
-        if df.empty:
-            return _tagged_empty()
-        return pd.DataFrame(
-            {
-                "s_suppkey": df["l_suppkey"].to_numpy().astype("int64"),
-                "n_heavy_parts": df["n_heavy_parts"].to_numpy().astype("int64"),
-                "s_name": pd.Series([""] * len(df), dtype="object"),
-            }
-        )
-
-    def tag_names(df: pd.DataFrame):
-        if df.empty:
-            return _tagged_empty()
-        return pd.DataFrame(
-            {
-                "s_suppkey": df["s_suppkey"].to_numpy().astype("int64"),
-                "n_heavy_parts": np.zeros(len(df), dtype="int64"),
-                "s_name": df["s_name"].to_numpy(),
-            }
-        )
-
-    def decorate(df: pd.DataFrame):
-        if df.empty:
-            # Typed Arrow empty (NOT an object-dtype pandas frame): Ray's
-            # block size estimator can't size a zero-row object column
-            # and spams "cannot call `vectorize` on size 0 inputs" to the
-            # driver's streams for every empty partition.
-            import pyarrow as pa
-
-            return pa.table(
-                {
-                    "s_suppkey": pa.array([], type=pa.int64()),
-                    "s_name": pa.array([], type=pa.string()),
-                    "n_heavy_parts": pa.array([], type=pa.int64()),
-                }
-            )
-        g = df.groupby("s_suppkey", as_index=False).agg(
-            n_heavy_parts=("n_heavy_parts", "sum"), s_name=("s_name", "max")
-        )
-        # Require BOTH sides present (count > 0 AND a real name), the
-        # oracle's inner-join semantics — a winner key somehow missing
-        # from supplier drops instead of surfacing an empty name.
-        g = g[(g["n_heavy_parts"] > 0) & (g["s_name"] != "")]
-        return g[["s_suppkey", "s_name", "n_heavy_parts"]].reset_index(drop=True)
-
-    names = read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    ).map_batches(tag_names, batch_format="pandas")
-    tagged = supp_counts.map_batches(tag_counts, batch_format="pandas").union(
-        names
+    # Name decoration via one keyed cogroup: the winner set is sparse
+    # (few rows over many blocks), exactly the shape that crashes Ray
+    # 2.49's native join (CLAUDE.md); each co-located partition pairs
+    # name and count vectorized.
+    counts_schema = pa.schema(
+        [("l_suppkey", pa.int64()), ("n_heavy_parts", pa.int64())]
     )
-    return tagged.repartition(npart, keys=["s_suppkey"]).map_batches(
-        decorate, batch_format="pandas", batch_size=None
+    names_schema = pa.schema([("s_suppkey", pa.int64()), ("s_name", pa.string())])
+    out = pa.schema([*names_schema, counts_schema.field("n_heavy_parts")])
+
+    def decorate(counts: pd.DataFrame, names: pd.DataFrame) -> pa.Table:
+        # Inner: a winner key somehow missing from supplier drops
+        # instead of surfacing an empty name (the oracle's join). Arrow
+        # out, so an empty result is typed too (CLAUDE.md: no zero-row
+        # object columns).
+        m = counts.merge(names, left_on="l_suppkey", right_on="s_suppkey")
+        return pa.Table.from_pandas(m[out.names], schema=out, preserve_index=False)
+
+    names = read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
+    return cogroup(
+        [
+            (supp_counts, ["l_suppkey"], counts_schema),
+            (names, ["s_suppkey"], names_schema),
+        ],
+        decorate,
+        npart,
     )

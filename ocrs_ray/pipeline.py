@@ -747,7 +747,9 @@ def _document_ocr(
             assign_weighted_partitions, fn_kwargs={"num_partitions": n}, batch_format="pyarrow"
         )
         # The spans come from the caller and may predate the session's
-        # configuration, so their captured context is patched here.
+        # configuration, so their captured context is patched here;
+        # datasets derived from them (the repartition, the OCR stage)
+        # share that context object.
         enable_hash_shuffle(spans_ds)
         # The OCR processors read doc_id and spans only, so the bin
         # columns (pixels, wpart) end at the OCR stage.
@@ -767,8 +769,6 @@ def _document_ocr(
         num_cpus=cfg.ocr_num_cpus,
         **gpu,
     )
-    if n > 0:
-        enable_hash_shuffle(out)  # the plan runs under the final context
     return out
 
 

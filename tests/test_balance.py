@@ -111,3 +111,39 @@ def test_pipeline_equality_with_balancing(ray_session, tmp_path):
         for _, r in got.iterrows()
     }
     assert got_docs == exp_docs
+
+
+def test_balanced_build_hashes_from_default_context(ray_session):
+    """The balanced build patches only its caller's spans dataset: the
+    repartition and the OCR stage derived from it share that context
+    object, so the output plan hashes too. With the driver's context
+    reset to Ray's default (sort) strategy, a `balance_partitions=2`
+    build over spans created under it must hash and return the same
+    documents."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    from ocrs_ray.corpus import ensure_corpus
+    from ocrs_ray.pipeline import OcrPipelineConfig, build_ocr_pipeline, load_media_store
+    from ocrs_ray.session import enable_hash_shuffle
+
+    paths = ensure_corpus("/tmp/ocrs_ray_bal_corpus", n_docs=120, row_group_docs=20)
+    media = load_media_store(paths["media"])
+    ctx = DataContext.get_current()
+    ctx.shuffle_strategy = DataContext().shuffle_strategy
+    try:
+        spans = rd.read_parquet(paths["spans"])
+        assert spans.context.shuffle_strategy != ShuffleStrategy.HASH_SHUFFLE
+        cfg = OcrPipelineConfig(ocr_concurrency=(1, 2), balance_partitions=2)
+        out = build_ocr_pipeline(spans, media, cfg)
+        assert out.context.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
+        got = out.to_pandas()
+    finally:
+        enable_hash_shuffle()
+    exp = pq.read_table(paths["expected_flat"]).to_pandas().sort_values(["doc_id", "offset"])
+    want = {d: list(zip(g["kind"], g["text"])) for d, g in exp.groupby("doc_id")}
+    assert {
+        r["doc_id"]: [(s["kind"], s["text"]) for s in r["spans"]] for _, r in got.iterrows()
+    } == want
